@@ -11,8 +11,9 @@ strict comparisons are decided in rational arithmetic; a beta given as a float
 is treated as an approximation, and any strict comparison that lands within
 1e-12 of a boundary raises PrecisionError instead of guessing.
 
-All operations are pure.  The word counting in univoque_entropy_bounds can be
-partitioned over chunks of the word index range; partial counts add.
+All operations are pure.  The word counting in univoque_entropy_bounds grows
+admissible prefixes one digit at a time, so its cost follows the surviving
+words rather than all (N+1)^d of them.
 """
 
 from __future__ import annotations
@@ -313,6 +314,14 @@ def komornik_loreti(N: int, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def reference_index(spec: str, prefix: str) -> int:
+    """The N of a threshold reference such as "kl:N"; DomainError if malformed."""
+    try:
+        return int(spec.strip()[len(prefix):])
+    except ValueError:
+        raise DomainError(f"malformed reference {spec!r}") from None
+
+
 def resolve_beta(spec):
     """Turn a beta specification into a number.
 
@@ -325,11 +334,7 @@ def resolve_beta(spec):
     text = spec.strip()
     for prefix, fn in (("kl:", komornik_loreti), ("gr:", generalized_golden_ratio)):
         if text.startswith(prefix):
-            try:
-                n = int(text[len(prefix):])
-            except ValueError:
-                raise DomainError(f"malformed beta reference {spec!r}") from None
-            return fn(n)
+            return fn(reference_index(text, prefix))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -351,11 +356,16 @@ class BetaContext:
 
 @dataclass(frozen=True)
 class EntropyBounds:
-    """Dimension bounds for the univoque set, as entropy divided by log beta."""
+    """Dimension bounds for the univoque set, as entropy divided by log beta.
+
+    `counts` is the evidence: (d, U_d, L_d) for each depth d of the halving
+    chain.  L_d is counted at the full depth only and is None elsewhere.
+    """
 
     depth: int
     lower: float
     upper: float
+    counts: tuple[tuple[int, int, int | None], ...] = ()
 
     def to_json_obj(self) -> dict:
         return {"depth": self.depth, "lower": self.lower, "upper": self.upper}
@@ -390,6 +400,58 @@ def _suffix_automaton(N: int, alpha: list[int], n_states: int):
     return cap, delta
 
 
+def _pair_automaton(N: int, alpha: list[int], d: int):
+    """The suffix automaton run on a word and on its complement in lockstep.
+
+    Returns (step, dead).  A state (Lw, Lb) holds both match lengths and is
+    stored as s = (Lw * (2d+1) + Lb) * (N+1), so that step[s + c] is the
+    state after digit c.  A digit above cap[Lw], or whose complement N - c is
+    above cap[Lb], leads to `dead`, which is absorbing.  A match length grows
+    by at most one per digit, so the 2d digits of w.w read only rows below
+    2d; the successors of row 2d, which may lie past the table, are never used.
+    """
+    A = N + 1
+    n_states = 2 * d + 1
+    cap, delta = _suffix_automaton(N, alpha, n_states)
+    Lw, Lb = np.divmod(np.arange(n_states * n_states), n_states)
+    c = np.arange(A)
+    ok = (c <= cap[Lw][:, None]) & ((N - c) <= cap[Lb][:, None])
+    nxt = (delta[Lw] * n_states + delta[Lb][:, ::-1]) * A
+    dead = n_states * n_states * A
+    step = np.full(dead + A, dead, dtype=np.intp)
+    step[:dead] = np.where(ok, nxt, dead).ravel()
+    return step, dead
+
+
+def _surviving_prefixes(step, dead: int, A: int, d: int, chunk: int):
+    """Blocks (idx, state) of the length-d words that pass d automaton steps.
+
+    The frontier grows one digit at a time and keeps only surviving children,
+    built parent-major and digit-minor, so every block and the concatenation
+    of all blocks are in lexicographic order.  A frontier whose children could
+    exceed `chunk` rows is split and finished block by block, depth first.
+    """
+    digits = np.arange(A)
+    stack = [(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp))]
+    while stack:
+        t, idx, state = stack.pop()
+        while t < d and idx.shape[0]:
+            n = idx.shape[0]
+            if n > 1 and n * A > chunk:
+                size = max(1, chunk // A)
+                for s in range((n - 1) // size * size, -1, -size):
+                    stack.append((t, idx[s:s + size], state[s:s + size]))
+                break
+            nxt = step[state[:, None] + digits]
+            keep = nxt != dead
+            idx = (idx[:, None] * A + digits)[keep]
+            state = nxt[keep]
+            t += 1
+        else:
+            if idx.shape[0]:
+                yield idx, state
+
+
 def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     """Counts over all (N+1)^d period words w, evaluated on w repeated.
 
@@ -398,15 +460,16 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     admissibility relaxation applied to the periodic extension).
     lower: among those, words whose periodic extension passes the exact
     projection criterion (every rotation value within the open interval).
-    Words are processed as integer indices; digit columns are extracted only
-    for the indices still alive, which keeps the scan cheap when the
-    admissible language is thin.
+    The first d digits of w.w are the word itself, so the automaton prunes
+    prefixes as they grow and only surviving words are ever built; the second
+    pass over w and the projection test then run on those words alone.  The
+    cost follows the surviving prefixes, not (N+1)^d.  Words are integer
+    indices in lexicographic order, and the projection test takes them in the
+    groups of `chunk` consecutive indices that a full scan of the index range
+    would form, so its float products see the same rows in the same order.
     """
     A = N + 1
-    total = A**d
-    n_states = 2 * d + 1
-    cap, delta = _suffix_automaton(N, alpha, n_states)
-    place = A ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    step, dead = _pair_automaton(N, alpha, d)
     K = N / (beta_f - 1.0)
     pows = beta_f ** -(np.arange(1, d + 1, dtype=float))
     C = np.empty((d, d))
@@ -416,30 +479,50 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     denom = 1.0 - beta_f ** (-d)
     hi_bound = denom
     lo_bound = (K - 1.0) * denom
+    # rows per block of the second pass and of the projection test: a
+    # block's float64 digit matrix takes at most `chunk` bytes
+    rows = max(1, chunk // (8 * d))
+
+    def n_projection(digits):
+        # near-equal blocks, so that none is much smaller than `rows` and
+        # every block takes the same matrix-product path as a whole chunk
+        n = 0
+        for part in np.array_split(digits, -(-digits.shape[1] // rows), axis=1):
+            S = np.ascontiguousarray(part.T, dtype=np.float64) @ C
+            n += int(np.count_nonzero(((S < hi_bound) & (S > lo_bound)).all(axis=1)))
+        return n
+
     n_upper = 0
     n_lower = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        Lw = np.zeros(len(idx), dtype=np.int32)
-        Lb = np.zeros(len(idx), dtype=np.int32)
-        for t in range(2 * d):
-            if idx.shape[0] == 0:
-                break
-            c = ((idx // place[t % d]) % A).astype(np.int32)
-            keep = (c <= cap[Lw]) & ((N - c) <= cap[Lb])
-            if not keep.all():
-                idx = idx[keep]
-                Lw = Lw[keep]
-                Lb = Lb[keep]
-                c = c[keep]
-            Lw = delta[Lw, c]
-            Lb = delta[Lb, N - c]
-        n_upper += idx.shape[0]
-        if want_lower and idx.shape[0]:
-            W = ((idx[:, None] // place) % A).astype(np.float64)
-            S = W @ C
-            ok = (S.max(axis=1) < hi_bound) & (S.min(axis=1) > lo_bound)
-            n_lower += int(ok.sum())
+    group: list[np.ndarray] = []  # digit columns of upper survivors in one index chunk
+    group_key = 0
+    for idx, state in _surviving_prefixes(step, dead, A, d, chunk):
+        for s in range(0, idx.shape[0], rows):
+            words = idx[s:s + rows]
+            D = np.empty((d, words.shape[0]), dtype=np.min_scalar_type(N))
+            q = words
+            for t in range(d - 1, -1, -1):
+                r = q // A
+                D[t] = q - r * A
+                q = r
+            ws = state[s:s + rows]
+            for t in range(d):
+                ws = step[ws + D[t]]
+            alive = ws != dead
+            n_alive = int(np.count_nonzero(alive))
+            n_upper += n_alive
+            if not want_lower or not n_alive:
+                continue
+            keys = words[alive] // chunk
+            cuts = np.flatnonzero(np.diff(keys)) + 1
+            for key, part in zip(keys[np.r_[0, cuts]], np.split(D[:, alive], cuts, axis=1)):
+                if key != group_key and group:
+                    n_lower += n_projection(np.concatenate(group, axis=1))
+                    group = []
+                group_key = key
+                group.append(part)
+    if group:
+        n_lower += n_projection(np.concatenate(group, axis=1))
     return n_upper, (n_lower if want_lower else None)
 
 
@@ -484,11 +567,13 @@ def univoque_entropy_bounds(
         dd = (dd + 1) // 2
     upper = 1.0
     lower_raw = 0.0
+    counts = []
     for dc in chain:
         u_count, l_count = _periodic_counts(N, beta_f, alpha, dc, want_lower=(dc == depth))
+        counts.append((dc, u_count, l_count))
         u_val = math.log(u_count) / (dc * log_b) if u_count > 1 else 0.0
         upper = min(upper, max(0.0, min(1.0, u_val)))
         if dc == depth and l_count is not None and l_count > 1:
             lower_raw = math.log(l_count) / (dc * log_b)
     lower = max(0.0, min(lower_raw, upper))
-    return EntropyBounds(depth=depth, lower=lower, upper=upper)
+    return EntropyBounds(depth=depth, lower=lower, upper=upper, counts=tuple(counts))

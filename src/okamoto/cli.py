@@ -80,26 +80,28 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_a(text: str):
+    """An exact rational, "a0tilde:N", or the reciprocal of a "kl:N"/"gr:N" base."""
     text = text.strip()
     if text.startswith("a0tilde:"):
-        return spectrum.a0_tilde(int(text.split(":", 1)[1]))
-    if text.startswith("kl:"):
-        return 1.0 / betaexp.komornik_loreti(int(text.split(":", 1)[1]))
-    if text.startswith("gr:"):
-        g = betaexp.generalized_golden_ratio(int(text.split(":", 1)[1]))
-        return Fraction(1, g) if isinstance(g, int) else 1.0 / g
+        return spectrum.a0_tilde(betaexp.reference_index(text, "a0tilde:"))
+    if text.startswith(("kl:", "gr:")):
+        beta = betaexp.resolve_beta(text)
+        return Fraction(1, beta) if isinstance(beta, int) else 1.0 / beta
     return parse_rational(text)
 
 
 def parse_n_range(text: str) -> list[int]:
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise DomainError(f"bad N specification {text!r}") from None
     if not out or any(n < 1 for n in out):
         raise DomainError(f"bad N specification {text!r}")
     return out
@@ -274,6 +276,9 @@ def _cmd_beta(args, out: TextIO) -> None:
         return
     if args.beta is None:
         raise DomainError(f"--beta is required for op {op!r}")
+    needed = {"pi": "w", "univoque": "w", "count": "x"}.get(op)
+    if needed and getattr(args, needed) is None:
+        raise DomainError(f"--{needed} is required for op {op!r}")
     beta = betaexp.resolve_beta(args.beta)
     if op == "pi":
         w = parse_omegaseq(args.w, args.N)

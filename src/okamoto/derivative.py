@@ -169,7 +169,11 @@ def finite_difference_probe(
     """Empirical difference quotients (F(x+h)-F(x))/(+h), (F(x-h)-F(x))/(-h).
 
     h runs over (2N+1)^-n for n = 1..levels; each F evaluation uses a series
-    tolerance of at most h*1e-4, so quotient noise stays below 2e-4.
+    tolerance of h*1e-4/2, so truncation moves a quotient by at most 1e-4.
+    Float roundoff in F(x+-h) - F(x) adds about 1e-16/h, so the total error
+    stays below 2e-4 only while h >= about 1e-12, i.e. up to level 25 for
+    N = 1.  Beyond that it grows by a factor of about 2N+1 per level (1.3e-2
+    at level 30 for N = 1, x = 1/4, a = 29/50).
     """
     if levels < 1:
         raise DomainError("levels must be >= 1")

@@ -22,6 +22,7 @@ from .numdigits import DigitSeq, Number, Params, digits_of, odd_count_prefix
 
 DEFAULT_TOL = 1e-12
 GRAPH_POINT_CAP = 10_000_000
+SERIES_TERM_CAP = 10_000_000  # a few seconds of summation
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,24 @@ def eval_fn(p: Params, n: int, x: Number) -> Number:
 
 def _series_terms(a: float, tol: float) -> int:
     # tail after M terms is bounded by a^M/(1-a)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    return max(1, math.ceil(math.log(tol * (1 - a)) / math.log(a)))
+    if not (0 < tol < math.inf):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    terms = max(1, math.ceil(math.log(tol * (1 - a)) / math.log(a)))
+    if terms > SERIES_TERM_CAP:
+        raise ResourceError(
+            f"the series needs about {terms} terms at a = {a!r} and tol = {tol!r}, "
+            f"over the cap of {SERIES_TERM_CAP}"
+        )
+    return terms
 
 
 def eval_F(p: Params, d: DigitSeq, tol: float = DEFAULT_TOL) -> float:
     """Value of F at the point represented by d, via the digit series.
 
     Truncated once the tail bound a^M/(1-a) drops below tol, so the absolute
-    error is at most tol.  When every digit is even the simpler form
-    F(x) = (1-a)/N * sum a^(n-1) * (digit_n/2) is used.
+    error is at most tol.  More than SERIES_TERM_CAP terms (a within about
+    4e-6 of 1 at the default tol) raise ResourceError.  When every digit is
+    even the simpler form F(x) = (1-a)/N * sum a^(n-1) * (digit_n/2) is used.
     """
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")

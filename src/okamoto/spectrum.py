@@ -22,11 +22,12 @@ from typing import Callable, Sequence
 from . import betaexp
 from .betaexp import EntropyBounds, komornik_loreti, generalized_golden_ratio
 from .derivative import DerivativeTag, classify_derivative
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ResourceError
 from .numdigits import DigitSeq, Number, OmegaSeq, make_params
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
 THRESHOLD_EQ_TOL = 1e-12
+ENUMERATION_WORK_CAP = 100_000  # about 20 s at 0.2 ms per classification
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ def log_g(N: int, a: float) -> float:
 
 
 def a0_tilde(N: int, tol: float = 1e-12) -> float:
+    if N < 1:
+        raise DomainError("N must be >= 1")
     lo = 1.0 / (N + 1)
     lo = lo + lo * 1e-15  # keep the log arguments positive
     while (N + 1) * lo - 1 <= 0:
@@ -346,11 +349,30 @@ def enumerate_infinite_points(
     max_period that pass is_univoque in base 1/a; prefixes run over all
     base-(2N+1) words up to max_prefix_len.  Each emitted point carries its
     (prefix, omega) certificate and is independently classified; points whose
-    verdict is not an infinite derivative land in `rejected`.
+    verdict is not an infinite derivative land in `rejected`.  The work is
+    estimated up front as the candidate words plus the prefixes times the
+    candidate words; above ENUMERATION_WORK_CAP it raises ResourceError.
     """
     if max_prefix_len < 0 or max_period < 1:
         raise DomainError("max_prefix_len must be >= 0 and max_period >= 1")
     p = make_params(N, a)
+    # there are at least 2^k words of length k, so lengths past 64 are over
+    # the cap without summing huge powers
+    if max(max_period, max_prefix_len) > 64:
+        raise ResourceError(
+            f"max_period {max_period} and max_prefix_len {max_prefix_len} put the "
+            f"enumeration over its cap of {ENUMERATION_WORK_CAP} steps"
+        )
+    # every candidate word may prove admissible and pair with every prefix
+    words = sum((N + 1) ** k for k in range(1, max_period + 1))
+    prefixes = sum((2 * N + 1) ** k for k in range(max_prefix_len + 1))
+    work = words + prefixes * words
+    if work > ENUMERATION_WORK_CAP:
+        raise ResourceError(
+            f"enumeration would test {words} candidate words and classify up to "
+            f"{prefixes} prefixes x {words} words ({work} steps in all), over the "
+            f"cap of {ENUMERATION_WORK_CAP}"
+        )
     beta = 1 / Fraction(a) if isinstance(a, (int, Fraction)) else 1.0 / float(a)
     admissible: list[OmegaSeq] = []
     for plen in range(1, max_period + 1):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -367,3 +368,77 @@ class TestEntropyBounds:
             if is_univoque(w, 1, Fraction(beta)):
                 manual += 1
         assert n_lower == manual
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_counts(N, beta, d):
+    """(U_d, L_d) by testing every one of the (N+1)^d words on its own.
+
+    U_d: every suffix of w.w, and of its complement, is lexicographically at
+    or below the prefix of alpha of the same length.  L_d: the words of U_d
+    whose periodic extension passes is_univoque at the exact value of beta.
+    The criterion is the same for every rotation of w, so it is evaluated
+    once per rotation class.
+    """
+    from itertools import product
+
+    alpha = tuple(quasi_greedy_one(N, beta, 64).digits_extended(2 * d))
+    bq = Fraction(beta)
+    verdict = {}
+    n_upper = n_lower = 0
+    for word in product(range(N + 1), repeat=d):
+        u = word + word
+        if any(
+            v[i:] > alpha[: 2 * d - i]
+            for v in (u, tuple(N - c for c in u))
+            for i in range(2 * d)
+        ):
+            continue
+        n_upper += 1
+        key = min(word[i:] + word[:i] for i in range(d))
+        if key not in verdict:
+            verdict[key] = is_univoque(OmegaSeq(N, (), word), N, bq)
+        n_lower += verdict[key]
+    return n_upper, n_lower
+
+
+COUNT_CASES = [
+    (1, beta, d) for beta in (1.5, 1.7, 1.8, 1.9, 1.99) for d in range(2, 13)
+] + [
+    (2, beta, d) for beta in (2.5, 2.9) for d in range(2, 8)
+] + [
+    (3, 3.5, d) for d in range(2, 7)
+]
+
+
+class TestPeriodicCounts:
+    """The prefix-growing counter against a scan of every word."""
+
+    @staticmethod
+    def counts(N, beta, d, **kw):
+        from okamoto.betaexp import _periodic_counts
+
+        alpha = quasi_greedy_one(N, beta, 64).digits_extended(64)
+        return _periodic_counts(N, beta, alpha, d, want_lower=True, **kw)
+
+    @pytest.mark.parametrize("N,beta,d", COUNT_CASES)
+    def test_matches_brute_force(self, N, beta, d):
+        assert self.counts(N, beta, d) == brute_force_counts(N, beta, d)
+
+    @pytest.mark.parametrize("N,beta,d", [(1, 1.9, 12), (1, 1.99, 12), (2, 2.9, 7), (3, 3.5, 6)])
+    def test_blocked_frontier_matches_brute_force(self, N, beta, d):
+        # a tiny chunk forces the depth-first blocks, the split second pass
+        # and the index-chunk groups of the projection test
+        assert self.counts(N, beta, d, chunk=64) == brute_force_counts(N, beta, d)
+
+    def test_pinned_thick_count(self):
+        assert self.counts(1, 1.99, 20) == (852216, 852214)
+
+    def test_bounds_carry_the_counts_of_the_halving_chain(self):
+        eb = univoque_entropy_bounds(1, 1.9, 12)
+        assert [c[0] for c in eb.counts] == [12, 6, 3, 2]
+        assert eb.counts[0] == (12, *self.counts(1, 1.9, 12))
+        for d, u, lower in eb.counts[1:]:
+            assert (u, lower) == (self.counts(1, 1.9, d)[0], None)
+        assert eb.upper == min(1.0, *(math.log(u) / (d * math.log(1.9)) for d, u, _ in eb.counts))
+        assert eb.to_json_obj() == {"depth": 12, "lower": eb.lower, "upper": eb.upper}

@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
+import pytest
+
+import okamoto
 from okamoto.cli import run
 
 
@@ -178,3 +185,55 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         code, _, _ = call(["--help"])
         assert code == 0
+
+
+class TestMalformedCalls:
+    """Malformed input ends in a typed error with exit code 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--N", "1", "--a", "kl:x", "--x", "1/3"],
+        ["eval", "--N", "1", "--a", "a0tilde:x", "--x", "1/3"],
+        ["eval", "--N", "1", "--a", "a0tilde:0", "--x", "1/3"],
+        ["thresholds", "--N", "a..b"],
+        ["eval", "--N", "1", "--a", "3/5", "--x", "1/3", "--tol", "nan"],
+        ["eval", "--N", "1", "--a", "3/5", "--x", "1/3", "--tol", "inf"],
+        ["beta", "--op", "pi", "--N", "1", "--beta", "19/10"],
+        ["beta", "--op", "univoque", "--N", "1", "--beta", "19/10"],
+        ["beta", "--op", "count", "--N", "1", "--beta", "2"],
+    ])
+    def test_typed_error(self, argv):
+        code, out, err = call(argv)
+        assert code in (1, 2) and out == ""
+        assert "Traceback" not in err and err.startswith(("usage error", "domain error"))
+
+
+def cli_process(argv, timeout=30):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(okamoto.__file__)))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "okamoto.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    return proc, time.perf_counter() - t0
+
+
+class TestResourceCaps:
+    def test_eval_near_one_exits_4(self):
+        proc, elapsed = cli_process(
+            ["eval", "--N", "1", "--a", "99999999999/100000000000", "--x", "1/3"]
+        )
+        assert proc.returncode == 4 and "resource error" in proc.stderr
+        assert "5295945267398" in proc.stderr and "10000000" in proc.stderr
+        assert elapsed < 10
+
+    def test_eval_below_the_cap_runs(self):
+        code, out, _ = call(["eval", "--N", "1", "--a", "999/1000", "--x", "1/3"])
+        assert code == 0 and json.loads(out)["F"] > 0
+
+    def test_large_enumeration_exits_4(self):
+        proc, elapsed = cli_process(
+            ["enumerate-dinf", "--N", "3", "--a", "0.3", "--max-prefix", "6", "--max-period", "8"]
+        )
+        assert proc.returncode == 4 and "resource error" in proc.stderr
+        assert "11993604040" in proc.stderr and "100000" in proc.stderr
+        assert elapsed < 10

@@ -211,6 +211,22 @@ class TestProbe:
         assert rows[0].left is None  # 1/4 - 1/3 < 0
         assert rows[1].left is not None
 
+    def test_quotient_error_within_documented_levels(self):
+        # exact quotients from the closed-form value at eventually periodic points
+        from okamoto.selfaffine import eval_F_exact
+
+        p = make_params(1, A058)
+        x = Fraction(1, 4)
+        f_x = eval_F_exact(p, digits_of(x, 1))
+        for r in finite_difference_probe(p, x, 25):
+            h = Fraction(1, 3**r.level)
+            if r.right is not None:
+                exact = (eval_F_exact(p, digits_of(x + h, 1)) - f_x) / h
+                assert abs(r.right - float(exact)) < 2e-4, r.level
+            if r.left is not None:
+                exact = (f_x - eval_F_exact(p, digits_of(x - h, 1))) / h
+                assert abs(r.left - float(exact)) < 2e-4, r.level
+
     def test_minus_infinity_probe(self):
         # quotient magnitudes alternate between two residue classes, so the
         # trailing window needs a couple of extra levels to clear the bar

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from okamoto import (
     DerivativeTag,
     DomainError,
+    ResourceError,
     dim_infinite_set,
     dim_zero_set,
     dimension_curve,
@@ -244,6 +245,15 @@ class TestEnumeration:
         xs = [c.x for c in res.points]
         assert xs == sorted(xs)
         assert len(xs) == len(set(xs))
+
+    def test_work_cap(self):
+        with pytest.raises(ResourceError, match="cap of 100000"):
+            enumerate_infinite_points(3, 0.3, 6, 8)
+        with pytest.raises(ResourceError, match="cap of 100000"):
+            enumerate_infinite_points(1, F(29, 50), 0, 10**9)
+        # the largest inputs in use stay under the cap
+        assert enumerate_infinite_points(2, F(7, 20), 2, 4).points
+        assert enumerate_infinite_points(1, F(13, 25), 2, 6).points
 
 
 class TestAsymptotics:
