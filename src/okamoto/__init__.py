@@ -41,7 +41,6 @@ from .selfaffine import (
     slope_fn,
 )
 from .betaexp import (
-    BetaContext,
     EntropyBounds,
     ExpansionCount,
     complement,

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Callable
 
 import numpy as np
 
@@ -46,13 +47,13 @@ def pi_beta(w: OmegaSeq, beta) -> Number:
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
     bq = _as_exact(beta)
-    b = bq if bq is not None else float(beta)
-    L = len(w.preperiod)
-    m = len(w.period)
-    head = sum(d * b ** -(i + 1) for i, d in enumerate(w.preperiod))
-    block = sum(d * b ** (m - j - 1) for j, d in enumerate(w.period))
-    per_val = block / (b**m - 1)
-    return head + b**-L * per_val
+    return _shift_values(w, bq if bq is not None else float(beta))[0]
+
+
+def _shift_values(w: OmegaSeq, beta) -> list:
+    """pi_beta of every distinct shift of w, in the arithmetic of beta."""
+    inv = 1 / beta
+    return w.tail_sums([d * inv for d in range(w.N + 1)], [inv] * (w.N + 1))
 
 
 def shift(w: OmegaSeq, n: int = 1) -> OmegaSeq:
@@ -163,10 +164,11 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     """Whether w projects to a point of the univoque set in base beta.
 
     Criterion: pi(shift^n(w)) < 1 and pi(shift^n(complement(w))) < 1 for all
-    n >= 0, applied verbatim.  For eventually periodic w only finitely many
-    distinct shifts exist, so the check is exact.  Endpoint sequences (the
-    constant 0 and constant N sequences) fail the criterion by definition even
-    though they are the unique expansions of their values.
+    n >= 0.  Only the shifts n < L+m are distinct, and one exact pass over w
+    (OmegaSeq.tail_sums) gives all their values; a complement's value is
+    N/(beta-1) minus the direct one.  Endpoint sequences (the constant 0 and
+    constant N sequences) fail the criterion by definition even though they
+    are the unique expansions of their values.
     """
     if w.N != N:
         raise DomainError(f"sequence alphabet N={w.N} does not match N={N}")
@@ -175,10 +177,8 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     bq = Fraction(beta)
     K = Fraction(N) / (bq - 1)
     approx = isinstance(beta, float)
-    n_tails = len(w.preperiod) + len(w.period)
     ambiguous_at = None
-    for n in range(n_tails):
-        v = pi_beta(shift(w, n), bq)
+    for n, v in enumerate(_shift_values(w, bq)):
         # complement tail value is K - v, so both conditions read K-1 < v < 1
         if approx and (abs(v - 1) <= TIE_TOL or abs(v - (K - 1)) <= TIE_TOL):
             ambiguous_at = (n, v)
@@ -280,8 +280,9 @@ def generalized_golden_ratio(N: int) -> int | float:
 def komornik_loreti(N: int, tol: float = 1e-12) -> float:
     """Critical base: the unique root of pi_beta(tm-sequence) = 1.
 
-    Bisection on the strictly decreasing map beta -> pi_beta(tau), with the
-    sequence truncated once the geometric tail bound drops below tol/10.
+    Bisection (bisect_root) on the strictly decreasing map beta ->
+    pi_beta(tau), with the sequence truncated once the geometric tail bound
+    drops below tol/10.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -296,19 +297,36 @@ def komornik_loreti(N: int, tol: float = 1e-12) -> float:
             s = (s + d) / beta
         return s - 1.0
 
-    lo, hi = G, float(N + 1)
-    if not (f(lo) > 0 > f(hi)):
+    return bisect_root(f, G, float(N + 1), tol)
+
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Bisection run down to floating-point collapse (200 iteration cap).
+
+    tol only bounds how much wider than machine precision the caller will
+    tolerate; the defining functions here have steep slopes, so stopping at a
+    fixed interval width would leave residuals far above the width.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if (flo > 0) == (fhi > 0):
         raise ConvergenceError(
-            f"bisection bracket failed for N={N}: f({lo})={f(lo)}, f({hi})={f(hi)}"
+            f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) > 0:
-            lo = mid
-        else:
+        fm = f(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (fhi > 0):
             hi = mid
+        else:
+            lo = mid
         if hi - lo <= tol * 1e-4:
             break
     return 0.5 * (lo + hi)
@@ -339,19 +357,6 @@ def resolve_beta(spec):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse beta value {spec!r}") from None
-
-
-@dataclass(frozen=True)
-class BetaContext:
-    """A base together with the expansion of 1 used for admissibility checks."""
-
-    N: int
-    beta: Number
-    alpha: QuasiGreedyResult
-
-    @classmethod
-    def create(cls, N: int, beta, alpha_len: int = 64) -> "BetaContext":
-        return cls(N=N, beta=beta, alpha=quasi_greedy_one(N, beta, alpha_len))
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,11 @@ def check_infinite_conditions(
     """Evaluate the two infinite-derivative tail conditions for w's period.
 
     For each residue class r of the period, the direct margin is
-    T_r = 1 - sum_{j>=1} a^j w_{r+j} and the complement margin uses digits
-    N - w instead; both series are summed in closed form.  The first flag is
-    true iff every direct margin is strictly positive, the second for the
-    complement margins.  Preperiod digits are irrelevant: the underlying
-    limits depend only on large indices.
+    T_r = 1 - S_r with S_r = sum_{j>=1} a^j w_{r+j}, and the complement
+    margin uses digits N - w instead.  All S_r come from one O(m) pass
+    (OmegaSeq.tail_sums).  The first flag is true iff every direct margin is
+    strictly positive, the second for the complement margins.  Preperiod
+    digits are irrelevant: the underlying limits depend only on large indices.
 
     Raises PrecisionError when a is a float and some margin is within 1e-12
     of zero.
@@ -90,13 +90,10 @@ def check_infinite_conditions(
     exact = isinstance(a, Fraction)
     if not exact:
         a = float(a)
-    v = w.period
-    m = len(v)
-    denom = 1 - a**m
     full = p.N * a / (1 - a)  # sum of a^j * N over j >= 1
+    sums = w.tail_sums([a * d for d in range(p.N + 1)], [a] * (p.N + 1))
     margins = []
-    for r in range(m):
-        s = sum(a ** (j + 1) * v[(r + j) % m] for j in range(m)) / denom
+    for r, s in enumerate(sums[len(w.preperiod):]):
         t_direct = 1 - s
         t_comp = 1 - (full - s)
         if not exact and (

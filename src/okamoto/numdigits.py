@@ -1,9 +1,11 @@
 """Exact representation of points via eventually periodic digit sequences.
 
 A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
-preperiod and a repeating period.  All arithmetic on these sequences is done
-with exact integer fractions; real-valued outputs elsewhere in the package use
-binary floating point with at least 15 significant digits.
+preperiod and a repeating period (DigitSeq); expansions in a base beta over
+{0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their shared
+tail_sums sums every shift of a sequence in closed form in O(L+m) operations;
+F's exact values, the tail margins and the projections in base beta all come
+from it.  Long division stops at EXPANSION_DIGIT_CAP digits.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -12,14 +14,16 @@ threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 Number = float | Fraction
+EXPANSION_DIGIT_CAP = 1_000_000  # about a second of long division
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,39 +47,33 @@ def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class DigitSeq:
-    """Eventually periodic base-(2N+1) expansion of a point in [0,1).
+class EventuallyPeriodic:
+    """Eventually periodic digit sequence, preperiod then a repeating period.
 
-    Digits lie in {0,...,2N}.  The representation is canonical: the period is
-    primitive, the preperiod is minimal, and a period of all (2N)'s is
-    rejected (ties are resolved toward the expansion ending in zeros).
+    The representation is canonical: the period is primitive and the
+    preperiod is minimal.  Subclasses fix alphabet_size, the digits being
+    0..alphabet_size-1, and the text form; a DigitSeq never equals an
+    OmegaSeq with the same digits.
     """
 
     N: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
+    _text_prefix = ""
+
     def __post_init__(self):
-        pre, per = _canonical(tuple(self.preperiod), tuple(self.period))
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
         if self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N}")
         if not self.period:
             raise DomainError("period must be nonempty")
-        top = 2 * self.N
+        pre, per = _canonical(tuple(self.preperiod), tuple(self.period))
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
+        top = self.alphabet_size - 1
         for d in self.preperiod + self.period:
             if not (0 <= d <= top):
                 raise DomainError(f"digit {d} outside 0..{top}")
-        if all(d == top for d in self.period):
-            raise DomainError(
-                "non-canonical expansion ending in all %d's; use the "
-                "terminating form instead" % top
-            )
-
-    @property
-    def base(self) -> int:
-        return 2 * self.N + 1
 
     def digit(self, i: int) -> int:
         """The i-th digit, 1-indexed."""
@@ -93,6 +91,76 @@ class DigitSeq:
         yield from self.preperiod
         while True:
             yield from self.period
+
+    def tail_sums(self, term, ratio) -> list:
+        """S_n = term[x_{n+1}] + ratio[x_{n+1}] * S_{n+1} for n = 0..L+m-1.
+
+        term and ratio are indexed by digit.  S_n is the sum over the n-th
+        shift of the sequence, and shift L+m equals shift L, so these are all
+        the distinct values.  The period's sum is taken once in closed form,
+        block / (1 - g) with g the product of ratio over the period (|g| < 1
+        is the caller's to ensure), and rolled backwards through the period
+        and the preperiod: O(L+m) operations in the arithmetic of term and
+        ratio, so Fractions give exact values and floats give floats.
+        """
+        per = self.period
+        block = term[per[-1]]
+        for d in reversed(per[:-1]):
+            block = term[d] + ratio[d] * block
+        # powers, not a running product: float rounding stays at a few ulps
+        g = math.prod(ratio[d] ** k for d, k in Counter(per).items())
+        word = self.preperiod + per
+        s = block / (1 - g)  # S_{L+m} = S_L
+        sums = [s] * len(word)
+        for n in reversed(range(len(word))):
+            d = word[n]
+            s = sums[n] = term[d] + ratio[d] * s
+        return sums
+
+    def __str__(self) -> str:
+        head = " ".join(str(d) for d in self.preperiod)
+        tail = " ".join(str(d) for d in self.period)
+        return f"{self._text_prefix}{head}{' ' if head else ''}({tail})"
+
+    @classmethod
+    def parse(cls, text: str, N: int):
+        """Parse the text form of str(); a DigitSeq's leading "0." is optional."""
+        body = text.strip()
+        if body.startswith(cls._text_prefix):
+            body = body[len(cls._text_prefix):]
+        head, paren, rest = body.partition("(")
+        if not paren or not rest.endswith(")"):
+            raise DomainError(f"malformed sequence {text!r}")
+        try:
+            pre, per = (tuple(map(int, part.split())) for part in (head, rest[:-1]))
+        except ValueError:
+            raise DomainError(f"non-integer digit in sequence {text!r}") from None
+        return cls(N, pre, per)
+
+
+class DigitSeq(EventuallyPeriodic):
+    """Eventually periodic base-(2N+1) expansion of a point in [0,1).
+
+    Digits lie in {0,...,2N}.  A period of all (2N)'s is rejected (ties are
+    resolved toward the expansion ending in zeros).
+    """
+
+    _text_prefix = "0."
+
+    @property
+    def alphabet_size(self) -> int:
+        return 2 * self.N + 1
+
+    base = alphabet_size
+
+    def __post_init__(self):
+        super().__post_init__()
+        top = 2 * self.N
+        if all(d == top for d in self.period):
+            raise DomainError(
+                "non-canonical expansion ending in all %d's; use the "
+                "terminating form instead" % top
+            )
 
     def value(self) -> Fraction:
         """Exact value sum(digit_i * (2N+1)^-i)."""
@@ -114,55 +182,16 @@ class DigitSeq:
             return False
         return all(d == 0 for d in self.preperiod[n:])
 
-    def __str__(self) -> str:
-        head = " ".join(str(d) for d in self.preperiod)
-        tail = " ".join(str(d) for d in self.period)
-        return f"0.{head}{' ' if head else ''}({tail})"
 
-
-@dataclass(frozen=True)
-class OmegaSeq:
+class OmegaSeq(EventuallyPeriodic):
     """Eventually periodic sequence over the alphabet {0,...,N}.
 
     Used for expansions in a (typically non-integer) base beta.
     """
 
-    N: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __post_init__(self):
-        pre, per = _canonical(tuple(self.preperiod), tuple(self.period))
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-        if self.N < 1:
-            raise DomainError(f"N must be a positive integer, got {self.N}")
-        if not self.period:
-            raise DomainError("period must be nonempty")
-        for d in self.preperiod + self.period:
-            if not (0 <= d <= self.N):
-                raise DomainError(f"digit {d} outside 0..{self.N}")
-
-    def digit(self, i: int) -> int:
-        if i < 1:
-            raise DomainError("digit index starts at 1")
-        L = len(self.preperiod)
-        if i <= L:
-            return self.preperiod[i - 1]
-        return self.period[(i - L - 1) % len(self.period)]
-
-    def digits(self, n: int) -> list[int]:
-        return [self.digit(i) for i in range(1, n + 1)]
-
-    def iter_digits(self) -> Iterator[int]:
-        yield from self.preperiod
-        while True:
-            yield from self.period
-
-    def __str__(self) -> str:
-        head = " ".join(str(d) for d in self.preperiod)
-        tail = " ".join(str(d) for d in self.period)
-        return f"{head}{' ' if head else ''}({tail})"
+    @property
+    def alphabet_size(self) -> int:
+        return self.N + 1
 
 
 @dataclass(frozen=True)
@@ -199,6 +228,8 @@ def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:
     """Canonical base-(2N+1) expansion of a rational in (0,1) by long division.
 
     The returned sequence reconstructs the input exactly via DigitSeq.value().
+    An expansion whose preperiod and period together pass EXPANSION_DIGIT_CAP
+    digits raises ResourceError: a period can be as long as the denominator.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -220,6 +251,11 @@ def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:
         if r in seen:
             k = seen[r]
             return DigitSeq(N, tuple(digits[:k]), tuple(digits[k:]))
+        if len(digits) >= EXPANSION_DIGIT_CAP:
+            raise ResourceError(
+                f"the base-{B} expansion of {num}/{den} runs past the cap of "
+                f"{EXPANSION_DIGIT_CAP} digits"
+            )
         seen[r] = len(digits)
         r *= B
         digits.append(r // den)
@@ -262,26 +298,5 @@ def odd_liminf_frequency(d: DigitSeq) -> Fraction:
     return Fraction(per_odd, len(d.period))
 
 
-def parse_digitseq(text: str, N: int) -> DigitSeq:
-    """Parse the text form "0.d1 d2 (p1 p2)" (the leading "0." is optional)."""
-    body = text.strip()
-    if body.startswith("0."):
-        body = body[2:]
-    if "(" not in body or not body.rstrip().endswith(")"):
-        raise DomainError(f"malformed digit sequence {text!r}")
-    head, _, rest = body.partition("(")
-    per_text = rest.rstrip()[:-1]
-    pre = tuple(int(t) for t in head.split())
-    per = tuple(int(t) for t in per_text.split())
-    return DigitSeq(N, pre, per)
-
-
-def parse_omegaseq(text: str, N: int) -> OmegaSeq:
-    """Parse the text form "d1 d2 (p1 p2)"."""
-    body = text.strip()
-    if "(" not in body or not body.endswith(")"):
-        raise DomainError(f"malformed sequence {text!r}")
-    head, _, rest = body.partition("(")
-    per = tuple(int(t) for t in rest[:-1].split())
-    pre = tuple(int(t) for t in head.split())
-    return OmegaSeq(N, pre, per)
+parse_digitseq = DigitSeq.parse
+parse_omegaseq = OmegaSeq.parse

@@ -119,27 +119,16 @@ def eval_F(p: Params, d: DigitSeq, tol: float = DEFAULT_TOL) -> float:
 def eval_F_exact(p: Params, d: DigitSeq) -> Fraction:
     """Exact value of F at an eventually periodic point, for rational a.
 
-    Used as an independent oracle: the digit series is summed in closed form
-    over one period, which is valid because the per-period factor has modulus
-    a^e * b^o < 1.
+    The digit series is summed in closed form over one period
+    (DigitSeq.tail_sums), which is valid because the per-period factor has
+    modulus a^e * b^o < 1.
     """
     if not isinstance(p.a, Fraction):
         raise DomainError("eval_F_exact requires a rational slope parameter a")
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    ys = generator_pattern(p).ys
-    a, b = p.a, p.b
-    acc = Fraction(0)
-    factor = Fraction(1)
-    for xi in d.preperiod:
-        acc += factor * ys[xi]
-        factor *= a if xi % 2 == 0 else -b
-    block = Fraction(0)
-    g = Fraction(1)
-    for xi in d.period:
-        block += g * ys[xi]
-        g *= a if xi % 2 == 0 else -b
-    return acc + factor * block / (1 - g)
+    ratio = [p.a if xi % 2 == 0 else -p.b for xi in range(2 * p.N + 1)]
+    return d.tail_sums(generator_pattern(p).ys, ratio)[0]
 
 
 def eval_F_rational(p: Params, x: Fraction, tol: float = DEFAULT_TOL) -> float:

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import betaexp
-from .betaexp import EntropyBounds, komornik_loreti, generalized_golden_ratio
+from .betaexp import EntropyBounds, bisect_root, komornik_loreti, generalized_golden_ratio
 from .derivative import DerivativeTag, classify_derivative
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .numdigits import DigitSeq, Number, OmegaSeq, make_params
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
@@ -54,46 +54,8 @@ class Thresholds:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "N": self.N,
-            "a_min": float(self.a_min),
-            "a0_tilde": float(self.a0_tilde),
-            "a0_star": float(self.a0_star),
-            "a_inf_hat": float(self.a_inf_hat),
-            "a_inf_star": float(self.a_inf_star),
-        }
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Bisection run down to floating-point collapse (200 iteration cap).
-
-    tol only bounds how much wider than machine precision the caller will
-    tolerate; the defining functions here have steep slopes, so stopping at a
-    fixed interval width would leave residuals far above the width.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ConvergenceError(
-            f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * 1e-4:
-            break
-    return 0.5 * (lo + hi)
+        names = ("a_min", "a0_tilde", "a0_star", "a_inf_hat", "a_inf_star")
+        return {"N": self.N, **dict(zip(names, self.as_row()))}
 
 
 def log_g(N: int, a: float) -> float:
@@ -118,7 +80,7 @@ def a0_tilde(N: int, tol: float = 1e-12) -> float:
     lo = lo + lo * 1e-15  # keep the log arguments positive
     while (N + 1) * lo - 1 <= 0:
         lo = math.nextafter(lo, 1.0)
-    return _bisect(lambda a: log_g(N, a), lo, 1.0, tol)
+    return bisect_root(lambda a: log_g(N, a), lo, 1.0, tol)
 
 
 def thresholds(N: int, tol: float = 1e-12) -> Thresholds:
@@ -142,28 +104,29 @@ def thresholds(N: int, tol: float = 1e-12) -> Thresholds:
 def critical_frequency(N: int, a: Number) -> float:
     """Odd-digit frequency at which the approximant slopes neither grow nor decay.
 
-    phi = log((2N+1)a) / (log(Na) - log((N+1)a - 1)); it satisfies
+    phi = log((2N+1)a) / log(1 + r), r = (1 - a) / ((N+1)a - 1); it satisfies
     (2N+1) a (b/a)^phi = 1.  An int/Fraction a is checked against the domain
-    exactly.  Where float arithmetic cannot resolve the denominator
-    log(Na / ((N+1)a - 1)) = log(1 + r), r = (1 - a) / ((N+1)a - 1), from 0,
-    it is taken from the exact rational r: as log(numerator + denominator) -
-    log(denominator) near a_min, where r is huge, and as log1p(r) near 1.  A
+    exactly, and log(1 + r) is taken from the exact rational r: as log1p(r)
+    while r fits a float, and as log(numerator + denominator) -
+    log(denominator) near a_min, where r is huge.  A float a uses
+    log(Na) - log((N+1)a - 1) unless floats cannot resolve it from 0, and
+    then falls back to the rational r of its exact binary value.  A
     denominator that underflows to 0 gives inf, the rounding of a phi beyond
     float range.
     """
     af = float(a)
-    float_inside = 1.0 / (N + 1) < af < 1.0
-    inside = Fraction(1, N + 1) < a < 1 if isinstance(a, (int, Fraction)) else float_inside
+    exact = isinstance(a, (int, Fraction))
+    inside = Fraction(1, N + 1) < a < 1 if exact else 1.0 / (N + 1) < af < 1.0
     if not inside:
         raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
     excess = (N + 1) * af - 1
-    log_ratio = math.log(N * af) - math.log(excess) if float_inside and excess > 0 else 0.0
+    log_ratio = math.log(N * af) - math.log(excess) if not exact and excess > 0 else 0.0
     if log_ratio <= 0.0:
         r = (1 - Fraction(a)) / ((N + 1) * Fraction(a) - 1)
-        if r > 1:
-            log_ratio = math.log(r.numerator + r.denominator) - math.log(r.denominator)
-        else:
+        if r < 2**1000:
             log_ratio = math.log1p(r)
+        else:  # r is past float range
+            log_ratio = math.log(r.numerator + r.denominator) - math.log(r.denominator)
         if log_ratio == 0.0:
             return math.inf
     return math.log((2 * N + 1) * af) / log_ratio
@@ -331,15 +294,6 @@ class InfiniteSetEnumeration:
     rejected: tuple[PointCertificate, ...]
 
 
-def _primitive_words(alphabet: int, length: int):
-    for word in product(range(alphabet), repeat=length):
-        for div in range(1, length):
-            if length % div == 0 and word == word[:div] * (length // div):
-                break
-        else:
-            yield word
-
-
 def enumerate_infinite_points(
     N: int, a: Number, max_prefix_len: int, max_period: int
 ) -> InfiniteSetEnumeration:
@@ -376,9 +330,9 @@ def enumerate_infinite_points(
     beta = 1 / Fraction(a) if isinstance(a, (int, Fraction)) else 1.0 / float(a)
     admissible: list[OmegaSeq] = []
     for plen in range(1, max_period + 1):
-        for word in _primitive_words(N + 1, plen):
-            w = OmegaSeq(N, (), word)
-            if betaexp.is_univoque(w, N, beta):
+        for word in product(range(N + 1), repeat=plen):
+            w = OmegaSeq(N, (), word)  # canonical: a non-primitive word shrinks
+            if w.period == word and betaexp.is_univoque(w, N, beta):
                 admissible.append(w)
     B = 2 * N + 1
     seen: dict[Fraction, PointCertificate] = {}

@@ -310,14 +310,6 @@ class TestCriticalBases:
         assert below[0] == below[1] and below[0] <= 5  # countable regime: stalls
         assert above[0] < above[1] < above[2]  # positive dimension: grows
 
-    def test_context_bundles_expansion_of_one(self):
-        from okamoto import BetaContext
-
-        ctx = BetaContext.create(1, Fraction(19, 10), alpha_len=48)
-        assert ctx.alpha.digits[:8] == tuple(
-            quasi_greedy_one(1, Fraction(19, 10), 48).digits[:8]
-        )
-
     def test_resolve(self):
         assert resolve_beta("5/6") == Fraction(5, 6)
         assert resolve_beta("1.9") == Fraction(19, 10)

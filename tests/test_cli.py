@@ -206,6 +206,11 @@ class TestMalformedCalls:
         assert code in (1, 2) and out == ""
         assert "Traceback" not in err and err.startswith(("usage error", "domain error"))
 
+    def test_non_integer_digit_is_a_domain_error(self):
+        code, out, err = call(["beta", "--op", "univoque", "--N", "1", "--beta", "1.9", "--w", "(x)"])
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error") and "Traceback" not in err
+
 
 def cli_process(argv, timeout=30):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(okamoto.__file__)))
@@ -229,6 +234,13 @@ class TestResourceCaps:
     def test_eval_below_the_cap_runs(self):
         code, out, _ = call(["eval", "--N", "1", "--a", "999/1000", "--x", "1/3"])
         assert code == 0 and json.loads(out)["F"] > 0
+
+    def test_long_division_exits_4(self):
+        # 1/10^30 has an astronomically long base-3 period
+        proc, elapsed = cli_process(["eval", "--N", "1", "--a", "3/5", "--x", "1e-30"])
+        assert proc.returncode == 4 and "resource error" in proc.stderr
+        assert "1000000" in proc.stderr and "Traceback" not in proc.stderr
+        assert elapsed < 10
 
     def test_large_enumeration_exits_4(self):
         proc, elapsed = cli_process(

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,17 @@ class TestInfiniteConditions:
         # direct margin for the constant-1 tail: 1 - a/(1-a) = 1 - 2 = -1 < 0
         c7, c8, margins = check_infinite_conditions(p, OmegaSeq(1, (), (1,)))
         assert not c7
+
+
+class TestClassificationBudget:
+    def test_all_even_period_of_800_digits_with_exact_a(self):
+        rng = random.Random(5)
+        d = DigitSeq(1, (1,), tuple(2 * rng.randrange(2) for _ in range(800)))
+        assert len(d.period) == 800
+        t0 = time.perf_counter()
+        v = classify_derivative(make_params(1, A058), d)
+        assert time.perf_counter() - t0 < 5
+        assert len(v.tail_margins) == 800
 
 
 class TestClassifierProperties:

@@ -9,15 +9,24 @@ from hypothesis import strategies as st
 from okamoto import (
     DigitSeq,
     DomainError,
+    OmegaSeq,
+    ResourceError,
+    check_infinite_conditions,
     digits_of_rational,
+    eval_F_exact,
+    generator_pattern,
+    is_univoque,
     make_params,
     odd_count_prefix,
     odd_liminf_frequency,
     odd_total,
+    pi_beta,
+    shift,
 )
-from okamoto.numdigits import parse_digitseq
+from okamoto import numdigits
+from okamoto.numdigits import parse_digitseq, parse_omegaseq
 
-from conftest import random_digitseq
+from conftest import random_digitseq, random_omegaseq
 
 
 class TestMakeParams:
@@ -98,6 +107,18 @@ class TestDigitsOfRational:
             d = digits_of_rational(num, den, N)
             assert d.value() == Fraction(num, den)
 
+    def test_long_division_stops_at_the_cap(self, monkeypatch):
+        # 1/10^30 has an astronomically long base-3 period
+        monkeypatch.setattr(numdigits, "EXPANSION_DIGIT_CAP", 1000)
+        with pytest.raises(ResourceError, match="1000 digits"):
+            digits_of_rational(1, 10**30, 1)
+        assert len(digits_of_rational(1, 1009, 1).period) == 168
+
+    def test_a_third_of_a_million_digits_is_under_the_cap(self):
+        d = digits_of_rational(1, 1000003, 1)
+        assert len(d.preperiod) + len(d.period) == 333334 < numdigits.EXPANSION_DIGIT_CAP
+        assert d.digits(13) == [0] * 12 + [1]  # 3^12 < 1000003 < 3^13
+
 
 class TestCanonicalForm:
     def test_period_reduced_to_primitive(self):
@@ -123,6 +144,29 @@ class TestCanonicalForm:
         for _ in range(200):
             d = random_digitseq(rng, 2)
             assert not all(t == top for t in d.period)
+
+    def test_digit_and_omega_sequences_never_compare_equal(self):
+        d, w = DigitSeq(1, (1,), (0,)), OmegaSeq(1, (1,), (0,))
+        assert d != w and d.digits(3) == w.digits(3)
+        assert repr(d) == "DigitSeq(N=1, preperiod=(1,), period=(0,))"
+        assert repr(w) == "OmegaSeq(N=1, preperiod=(1,), period=(0,))"
+        assert (str(d), str(w)) == ("0.1 (0)", "1 (0)")
+
+    def test_empty_period_rejected(self):
+        for cls in (DigitSeq, OmegaSeq):
+            with pytest.raises(DomainError):
+                cls(1, (1,), ())
+
+    def test_malformed_text_is_a_domain_error(self):
+        for text in ("(x)", "0.1 (0 2", "1 (0) 2", "(1.5)", "((0))"):
+            with pytest.raises(DomainError):
+                parse_digitseq(text, 1)
+            with pytest.raises(DomainError):
+                parse_omegaseq(text, 1)
+        # only a digit sequence takes the leading "0."
+        assert parse_digitseq("0.1 (0 1)", 1) == DigitSeq(1, (1,), (0, 1))
+        with pytest.raises(DomainError):
+            parse_omegaseq("0.1 (0 1)", 1)
 
     def test_text_form_round_trip(self):
         d = digits_of_rational(5, 12, 1)
@@ -175,3 +219,85 @@ class TestOddDigitStatistics:
             assert abs(Fraction(odd_count_prefix(d, n), n) - lim) <= Fraction(
                 len(d.preperiod) + 2 * len(d.period), n
             )
+
+
+def _reference_pi(w, b):
+    """pi_beta's closed form per sequence, as it was before tail_sums."""
+    L, m = len(w.preperiod), len(w.period)
+    head = sum(d * b ** -(i + 1) for i, d in enumerate(w.preperiod))
+    block = sum(d * b ** (m - j - 1) for j, d in enumerate(w.period))
+    return head + b**-L * block / (b**m - 1)
+
+
+def _reference_margins(a, N, period):
+    """The O(m^2) tail margins: each residue's period summed on its own."""
+    m = len(period)
+    full = N * a / (1 - a)
+    out = []
+    for r in range(m):
+        s = sum(a ** (j + 1) * period[(r + j) % m] for j in range(m)) / (1 - a**m)
+        out.append((1 - s, 1 - (full - s)))
+    return tuple(out)
+
+
+def _reference_F(p, d):
+    """The digit series of F summed over the preperiod and one period."""
+    ys = generator_pattern(p).ys
+    acc, factor = Fraction(0), Fraction(1)
+    for xi in d.preperiod:
+        acc += factor * ys[xi]
+        factor *= p.a if xi % 2 == 0 else -p.b
+    block, g = Fraction(0), Fraction(1)
+    for xi in d.period:
+        block += g * ys[xi]
+        g *= p.a if xi % 2 == 0 else -p.b
+    return acc + factor * block / (1 - g)
+
+
+def _random_fraction(rng, lo, hi):
+    return lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+
+
+class TestTailSums:
+    def test_each_shift_is_the_projection_of_that_shift(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            N = rng.randint(1, 4)
+            w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+            beta = _random_fraction(rng, 1, N + 1)
+            inv = 1 / beta
+            sums = w.tail_sums([d * inv for d in range(N + 1)], [inv] * (N + 1))
+            assert len(sums) == len(w.preperiod) + len(w.period)
+            refs = [_reference_pi(shift(w, n), beta) for n in range(len(sums))]
+            assert sums == refs
+            assert pi_beta(w, beta) == refs[0]
+            K = N / (beta - 1)
+            assert is_univoque(w, N, beta) == all(K - 1 < v < 1 for v in refs)
+
+    def test_margins_equal_the_quadratic_formula(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            N = rng.randint(1, 4)
+            w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+            a = _random_fraction(rng, Fraction(1, N + 1), 1)
+            _, _, margins = check_infinite_conditions(make_params(N, a), w)
+            assert margins == _reference_margins(a, N, w.period)
+
+    def test_exact_value_equals_the_series_closed_form(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            N = rng.randint(1, 4)
+            d = random_digitseq(rng, N, max_pre=5, max_per=12)
+            p = make_params(N, _random_fraction(rng, Fraction(1, N + 1), 1))
+            assert eval_F_exact(p, d) == _reference_F(p, d)
+
+    def test_float_arithmetic_stays_float(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            N = rng.randint(1, 4)
+            w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+            a = _random_fraction(rng, Fraction(1, N + 1), Fraction(9, 10))
+            exact = w.tail_sums(range(N + 1), [a] * (N + 1))
+            approx = w.tail_sums(range(N + 1), [float(a)] * (N + 1))
+            assert all(type(v) is float for v in approx)
+            assert all(abs(v - float(e)) <= 1e-12 * (1 + abs(e)) for v, e in zip(approx, exact))

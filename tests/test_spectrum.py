@@ -96,6 +96,18 @@ class TestFrequencyFunctions:
         )
         assert critical_frequency(1, 1 - F(1, 10**400)) == math.inf
 
+    @pytest.mark.parametrize("a", [
+        F(1, 2) + F(1, 10**16), F(1, 2) + F(1, 10**12), 1 - F(1, 10**12),
+    ])
+    def test_phi_exact_a_against_mpmath(self, a):
+        # float(a) carries relative error ~1e-16, which the difference
+        # log(Na) - log(2a - 1) would amplify; the rational r avoids that
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            am = mp.mpf(a.numerator) / a.denominator
+            want = mp.log(3 * am) / mp.log(am / (2 * am - 1))
+            assert critical_frequency(1, a) == pytest.approx(float(want), rel=1e-14)
+
     def test_phi_float_a_whose_excess_rounds_to_zero(self):
         # 3 * 0.33333333333333337 rounds to 1.0, though the float exceeds 1/3
         a = 0.33333333333333337
