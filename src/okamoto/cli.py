@@ -118,7 +118,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate the limit function at a rational x")
     common_na(p)
     p.add_argument("--x", required=True, type=str)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("classify", help="classify the derivative at a rational x")
     common_na(p)
@@ -181,7 +180,7 @@ def _cmd_eval(args, out: TextIO) -> None:
     p = make_params(args.N, a)
     x = parse_rational(args.x)
     d = digits_of(x, args.N)
-    val = eval_F(p, d, args.tol)
+    val = eval_F(p, d)
     emit_json({
         "N": args.N,
         "a": float(a),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError
@@ -28,6 +29,7 @@ from .numdigits import (
     Number,
     OmegaSeq,
     Params,
+    decimal_context,
     digits_of,
     odd_total,
 )
@@ -75,35 +77,37 @@ def check_infinite_conditions(
     """Evaluate the two infinite-derivative tail conditions for w's period.
 
     For each residue class r of the period, the direct margin is
-    T_r = 1 - S_r with S_r = sum_{j>=1} a^j w_{r+j}, and the complement
-    margin uses digits N - w instead.  All S_r come from one O(m) pass
-    (OmegaSeq.tail_sums).  The first flag is true iff every direct margin is
-    strictly positive, the second for the complement margins.  Preperiod
-    digits are irrelevant: the underlying limits depend only on large indices.
+    T_r = 1 - sum_{j>=1} a^j w_{r+j} = (1 - a - a w_{r+1}) + a T_{r+1}, and
+    the complement margin, which uses digits N - w instead, is
+    2 - N a/(1 - a) - T_r; one O(m) pass of OmegaSeq.tail_sums gives all T_r.
+    The first flag is true iff every direct margin is strictly positive, the
+    second for the complement margins.
+    Preperiod digits are irrelevant: the limits depend only on large indices.
 
-    Raises PrecisionError when a is a float and some margin is within 1e-12
-    of zero.
+    A float a is taken at its exact value and its margins are summed at 50
+    digits (decimal_tail_sums), tested there against MARGIN_TIE_TOL = 1e-12
+    (PrecisionError) and returned as floats.
     """
     if w.N != p.N:
         raise DomainError(f"sequence alphabet N={w.N} does not match params N={p.N}")
-    a = p.a
-    exact = isinstance(a, Fraction)
-    if not exact:
-        a = float(a)
-    full = p.N * a / (1 - a)  # sum of a^j * N over j >= 1
-    sums = w.tail_sums([a * d for d in range(p.N + 1)], [a] * (p.N + 1))
-    margins = []
-    for r, s in enumerate(sums[len(w.preperiod):]):
-        t_direct = 1 - s
-        t_comp = 1 - (full - s)
-        if not exact and (
-            abs(t_direct) <= MARGIN_TIE_TOL or abs(t_comp) <= MARGIN_TIE_TOL
-        ):
-            raise PrecisionError(
-                f"tail margin within {MARGIN_TIE_TOL} of zero at residue {r}; "
-                "supply a as an exact rational to decide the boundary case"
-            )
-        margins.append((t_direct, t_comp))
+    a = Fraction(p.a)
+    u = 1 - a
+    c = 2 - p.N * a / u  # direct plus complement margin, at every r
+    term, ratio = [u - a * d for d in range(p.N + 1)], [a] * (p.N + 1)
+    L = len(w.preperiod)
+    if isinstance(p.a, Fraction):
+        margins = [(t, c - t) for t in w.tail_sums(term, ratio)[L:]]
+    else:
+        with decimal_context():
+            c = Decimal(c.numerator) / c.denominator
+            margins = [(t, c - t) for t in w.decimal_tail_sums(term, ratio)[L:]]
+            for r, pair in enumerate(margins):
+                if min(abs(t) for t in pair) <= MARGIN_TIE_TOL:
+                    raise PrecisionError(
+                        f"tail margin within {MARGIN_TIE_TOL} of zero at residue {r}; "
+                        "supply a as an exact rational to decide the boundary case"
+                    )
+        margins = [(float(t), float(tb)) for t, tb in margins]
     cond_direct = all(t > 0 for t, _ in margins)
     cond_comp = all(tb > 0 for _, tb in margins)
     return cond_direct, cond_comp, tuple(margins)
@@ -165,12 +169,11 @@ def finite_difference_probe(
 ) -> list[ProbeQuotients]:
     """Empirical difference quotients (F(x+h)-F(x))/(+h), (F(x-h)-F(x))/(-h).
 
-    h runs over (2N+1)^-n for n = 1..levels; each F evaluation uses a series
-    tolerance of h*1e-4/2, so truncation moves a quotient by at most 1e-4.
-    Float roundoff in F(x+-h) - F(x) adds about 1e-16/h, so the total error
-    stays below 2e-4 only while h >= about 1e-12, i.e. up to level 25 for
-    N = 1.  Beyond that it grows by a factor of about 2N+1 per level (1.3e-2
-    at level 30 for N = 1, x = 1/4, a = 29/50).
+    h runs over (2N+1)^-n for n = 1..levels.  Each F value is the exact
+    value rounded once (eval_F), so a quotient's only error is the float
+    roundoff of F(x+-h) - F(x) divided by h, about 1e-16/h: below 2e-4 while
+    h >= about 1e-12, i.e. up to level 25 for N = 1.  Beyond that it grows
+    by a factor of about 2N+1 per level.
     """
     if levels < 1:
         raise DomainError("levels must be >= 1")
@@ -178,18 +181,16 @@ def finite_difference_probe(
     if not (0 < xq < 1):
         raise DomainError(f"x must lie in (0,1), got {x}")
     B = 2 * p.N + 1
-    tol_min = float(B) ** (-levels) * 1e-4 / 2
-    f_x = eval_F(p, digits_of(xq, p.N), tol_min)
+    f_x = eval_F(p, digits_of(xq, p.N))
     rows: list[ProbeQuotients] = []
     for n in range(1, levels + 1):
         h = Fraction(1, B**n)
-        tol = float(h) * 1e-4 / 2
         right = left = None
         if xq + h <= 1:
-            f_r = eval_F(p, digits_of(xq + h, p.N), tol) if xq + h < 1 else 1.0
+            f_r = eval_F(p, digits_of(xq + h, p.N)) if xq + h < 1 else 1.0
             right = (f_r - f_x) / float(h)
         if xq - h >= 0:
-            f_l = eval_F(p, digits_of(xq - h, p.N), tol) if xq - h > 0 else 0.0
+            f_l = eval_F(p, digits_of(xq - h, p.N)) if xq - h > 0 else 0.0
             left = (f_x - f_l) / float(h)
         rows.append(ProbeQuotients(level=n, h=float(h), right=right, left=left))
     return rows

@@ -4,8 +4,9 @@ A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
 preperiod and a repeating period (DigitSeq); expansions in a base beta over
 {0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their shared
 tail_sums sums every shift of a sequence in closed form in O(L+m) operations;
-F's exact values, the tail margins and the projections in base beta all come
-from it.  Long division stops at EXPANSION_DIGIT_CAP digits.
+F's values, the tail margins and the projections in base beta all come from
+it, in Fractions or at DECIMAL_DIGITS digits.  Long division stops at
+EXPANSION_DIGIT_CAP digits.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -16,14 +17,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator
 
 from .errors import DomainError, ResourceError
 
 Number = float | Fraction
 EXPANSION_DIGIT_CAP = 1_000_000  # about a second of long division
+DECIMAL_DIGITS = 50  # 33 digits beyond a float's 17, for cancellation near a = 1
+
+
+def decimal_context():
+    """A with-block running Decimal arithmetic in a fresh DECIMAL_DIGITS context."""
+    return localcontext(Context(prec=DECIMAL_DIGITS))
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -87,11 +94,6 @@ class EventuallyPeriodic:
     def digits(self, n: int) -> list[int]:
         return [self.digit(i) for i in range(1, n + 1)]
 
-    def iter_digits(self) -> Iterator[int]:
-        yield from self.preperiod
-        while True:
-            yield from self.period
-
     def tail_sums(self, term, ratio) -> list:
         """S_n = term[x_{n+1}] + ratio[x_{n+1}] * S_{n+1} for n = 0..L+m-1.
 
@@ -116,6 +118,17 @@ class EventuallyPeriodic:
             d = word[n]
             s = sums[n] = term[d] + ratio[d] * s
         return sums
+
+    def decimal_tail_sums(self, term, ratio) -> list[Decimal]:
+        """tail_sums of exact (Fraction) tables, at DECIMAL_DIGITS digits.
+
+        Each entry is rounded once to a Decimal and every operation runs in
+        decimal_context().  1 - g cancels about -log10(1 - g) digits, so while
+        1 - g > 1e-30 a result rounded to a float is the exact sum rounded once.
+        """
+        with decimal_context():
+            tables = ([Decimal(q.numerator) / q.denominator for q in t] for t in (term, ratio))
+            return self.tail_sums(*tables)
 
     def __str__(self) -> str:
         head = " ".join(str(d) for d in self.preperiod)

@@ -17,12 +17,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DomainError, GridPointError, ResourceError
-from .numdigits import DigitSeq, Number, Params, digits_of, odd_count_prefix
+from .errors import DomainError, GridPointError, PrecisionError, ResourceError
+from .numdigits import DigitSeq, Number, Params, digits_of, make_params, odd_count_prefix
 
-DEFAULT_TOL = 1e-12
 GRAPH_POINT_CAP = 10_000_000
-SERIES_TERM_CAP = 10_000_000  # a few seconds of summation
+# 20 of eval_F's 50 digits survive at 1 - a = 1e-30; floats stop at 2^-53
+NEAR_ONE = Fraction(1, 10**30)
 
 
 @dataclass(frozen=True)
@@ -71,69 +71,51 @@ def eval_fn(p: Params, n: int, x: Number) -> Number:
     return offset + scale * t
 
 
-def _series_terms(a: float, tol: float) -> int:
-    # tail after M terms is bounded by a^M/(1-a)
-    if not (0 < tol < math.inf):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    terms = max(1, math.ceil(math.log(tol * (1 - a)) / math.log(a)))
-    if terms > SERIES_TERM_CAP:
-        raise ResourceError(
-            f"the series needs about {terms} terms at a = {a!r} and tol = {tol!r}, "
-            f"over the cap of {SERIES_TERM_CAP}"
-        )
-    return terms
+def _series_tables(p: Params) -> tuple[tuple[Number, ...], list[Number]]:
+    """Digit-indexed (term, ratio) tables of F's digit series.
+
+    F(x) = y_{x_1} + r_{x_1} * F(sigma x), with r = a for an even digit and
+    -b for an odd one; the per-period factor has modulus a^e * b^o < 1.
+    """
+    ratio = [p.a if xi % 2 == 0 else -p.b for xi in range(2 * p.N + 1)]
+    return generator_pattern(p).ys, ratio
 
 
-def eval_F(p: Params, d: DigitSeq, tol: float = DEFAULT_TOL) -> float:
-    """Value of F at the point represented by d, via the digit series.
+def eval_F(p: Params, d: DigitSeq) -> float:
+    """Value of F at the point represented by d, as a float.
 
-    Truncated once the tail bound a^M/(1-a) drops below tol, so the absolute
-    error is at most tol.  More than SERIES_TERM_CAP terms (a within about
-    4e-6 of 1 at the default tol) raise ResourceError.  When every digit is
-    even the simpler form F(x) = (1-a)/N * sum a^(n-1) * (digit_n/2) is used.
+    The result lies within one ulp of float(eval_F_exact(q, d)), with
+    q = make_params(N, Fraction(a)) at a's exact value: the series is summed
+    in closed form at 50 digits (DigitSeq.decimal_tail_sums), then rounded.
+    A rational a within NEAR_ONE = 1e-30 of 1, far nearer than any float,
+    raises PrecisionError: 1 - a^m would cancel too many of those digits.
     """
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    a = float(p.a)
-    b = float(p.b)
-    terms = _series_terms(a, tol)
-    gen = d.iter_digits()
-    if all(t % 2 == 0 for t in d.preperiod + d.period):
-        acc = 0.0
-        apow = 1.0
-        c = (1.0 - a) / p.N
-        for _ in range(terms):
-            acc += apow * c * (next(gen) // 2)
-            apow *= a
-        return acc
-    ys = [float(v) for v in generator_pattern(p).ys]
-    acc = 0.0
-    factor = 1.0
-    for _ in range(terms):
-        xi = next(gen)
-        acc += factor * ys[xi]
-        factor *= a if xi % 2 == 0 else -b
-    return acc
+    q = make_params(p.N, Fraction(p.a))
+    if 1 - q.a < NEAR_ONE:
+        raise PrecisionError(
+            f"a lies within {float(NEAR_ONE)} of 1; use eval_F_exact for its exact value"
+        )
+    return float(d.decimal_tail_sums(*_series_tables(q))[0])
 
 
 def eval_F_exact(p: Params, d: DigitSeq) -> Fraction:
     """Exact value of F at an eventually periodic point, for rational a.
 
     The digit series is summed in closed form over one period
-    (DigitSeq.tail_sums), which is valid because the per-period factor has
-    modulus a^e * b^o < 1.
+    (DigitSeq.tail_sums).
     """
     if not isinstance(p.a, Fraction):
         raise DomainError("eval_F_exact requires a rational slope parameter a")
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    ratio = [p.a if xi % 2 == 0 else -p.b for xi in range(2 * p.N + 1)]
-    return d.tail_sums(generator_pattern(p).ys, ratio)[0]
+    return d.tail_sums(*_series_tables(p))[0]
 
 
-def eval_F_rational(p: Params, x: Fraction, tol: float = DEFAULT_TOL) -> float:
+def eval_F_rational(p: Params, x: Fraction) -> float:
     """Convenience wrapper: expand a rational x and evaluate F there."""
-    return eval_F(p, digits_of(x, p.N), tol)
+    return eval_F(p, digits_of(x, p.N))
 
 
 def slope_fn(p: Params, d: DigitSeq, n: int) -> Number:

@@ -107,13 +107,12 @@ def derivative_witness_trend(p, x, levels: int, big: float = 100.0, small: float
 
     B = 2 * p.N + 1
     base = finite_difference_probe(p, x, levels)
-    tol0 = float(_F(1, B**levels)) * 1e-4 / 2
-    f_x = eval_F(p, digits_of(_F(x), p.N), tol0)
+    f_x = eval_F(p, digits_of(_F(x), p.N))
 
     def secant(y):
         if not (0 <= y <= 1) or y == x:
             return None
-        f_y = 1.0 if y == 1 else (0.0 if y == 0 else eval_F(p, digits_of(y, p.N), tol0))
+        f_y = 1.0 if y == 1 else (0.0 if y == 0 else eval_F(p, digits_of(y, p.N)))
         return (f_y - f_x) / float(y - x)
 
     samples = []  # one list of available quotients per level

@@ -223,13 +223,17 @@ def cli_process(argv, timeout=30):
 
 
 class TestResourceCaps:
-    def test_eval_near_one_exits_4(self):
+    def test_eval_near_one_runs(self):
+        # the closed form costs O(L+m) whatever a is, so no series cap applies
         proc, elapsed = cli_process(
             ["eval", "--N", "1", "--a", "99999999999/100000000000", "--x", "1/3"]
         )
-        assert proc.returncode == 4 and "resource error" in proc.stderr
-        assert "5295945267398" in proc.stderr and "10000000" in proc.stderr
+        assert proc.returncode == 0 and json.loads(proc.stdout)["F"] == 0.99999999999
         assert elapsed < 10
+
+    def test_eval_within_1e_30_of_one_exits_3(self):
+        code, out, err = call(["eval", "--N", "1", "--a", "0." + "9" * 31, "--x", "1/4"])
+        assert (code, out) == (3, "") and err.startswith("precision error")
 
     def test_eval_below_the_cap_runs(self):
         code, out, _ = call(["eval", "--N", "1", "--a", "999/1000", "--x", "1/3"])

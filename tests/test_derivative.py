@@ -82,6 +82,20 @@ class TestInfiniteConditions:
         with pytest.raises(PrecisionError):
             check_infinite_conditions(p, OmegaSeq(1, (), (0, 1)))
 
+    def test_float_margins_within_one_ulp_of_exact(self):
+        # a float a is decided at its exact value, up to 1 - 1e-6
+        rng = random.Random(7)
+        for k in range(40):
+            N = rng.randint(1, 3)
+            a = 1 - 10.0 ** -rng.uniform(0.5, 6) if k % 2 else rng.uniform(1 / (N + 1), 0.9)
+            per = tuple(2 * rng.randint(0, N) for _ in range(rng.randint(50, 200)))
+            d = DigitSeq(N, (1,), per)
+            got = classify_derivative(make_params(N, a), d).tail_margins
+            exact = classify_derivative(make_params(N, Fraction(a)), d).tail_margins
+            for pair, exact_pair in zip(got, exact):
+                for t, e in zip(pair, exact_pair):
+                    assert abs(t - float(e)) <= math.ulp(float(e)), (N, a, str(d))
+
     def test_exact_tie_is_not_differentiable(self):
         # rational a with a margin exactly zero: divergence fails on a
         # subsequence, so the verdict is NOT_DIFFERENTIABLE

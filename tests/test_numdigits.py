@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -301,3 +302,19 @@ class TestTailSums:
             approx = w.tail_sums(range(N + 1), [float(a)] * (N + 1))
             assert all(type(v) is float for v in approx)
             assert all(abs(v - float(e)) <= 1e-12 * (1 + abs(e)) for v, e in zip(approx, exact))
+
+    def test_decimal_sums_keep_their_digits_and_the_thread_context(self):
+        rng = random.Random(15)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            ctx.clear_flags()
+            for _ in range(100):
+                N = rng.randint(1, 4)
+                w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+                a = _random_fraction(rng, Fraction(1, N + 1), 1)
+                term, ratio = [a * d for d in range(N + 1)], [a] * (N + 1)
+                sums = w.decimal_tail_sums(term, ratio)
+                for v, e in zip(sums, w.tail_sums(term, ratio)):
+                    assert abs(Fraction(v) - e) <= (1 + abs(e)) / 10**47
+                check_infinite_conditions(make_params(N, float(a)), w)
+            assert ctx.prec == 7 and not any(ctx.flags.values())

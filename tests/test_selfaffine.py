@@ -84,7 +84,7 @@ class TestApproximants:
 class TestEvalF:
     def test_value_at_first_breakpoint(self):
         d = digits_of(Fraction(1, 3), 1)
-        assert abs(eval_F(P56, d, TOL) - float(Fraction(5, 6))) <= TOL
+        assert abs(eval_F(P56, d) - float(Fraction(5, 6))) <= TOL
 
     def test_midpoint_is_fixed(self):
         # the digit series sums to a/(1+b) = 1/2 for every admissible a
@@ -102,7 +102,21 @@ class TestEvalF:
             N = rng.randrange(1, 3)
             p = make_params(N, Fraction(rng.randrange(N + 3, 3 * N + 3), 3 * N + 3))
             d = random_digitseq(rng, N)
-            assert abs(eval_F(p, d, TOL) - float(eval_F_exact(p, d))) <= TOL
+            assert abs(eval_F(p, d) - float(eval_F_exact(p, d))) <= TOL
+
+    def test_within_one_ulp_of_the_exact_value(self):
+        # eval_F's contract: the exact value at a's exact value, rounded once
+        rng = random.Random(2016)
+        cases = [(rng.randint(1, 4), 1 - 10.0**-k) for k in range(1, 12)]
+        for _ in range(90):
+            N = rng.randint(1, 4)
+            lo = 1 / (N + 1)
+            a = lo + (1 - lo) * rng.uniform(0.001, 0.999)
+            cases.append((N, a if rng.random() < 0.5 else Fraction(a).limit_denominator(10**6)))
+        for N, a in cases:
+            d = random_digitseq(rng, N, max_pre=5, max_per=200)
+            exact = float(eval_F_exact(make_params(N, Fraction(a)), d))
+            assert abs(eval_F(make_params(N, a), d) - exact) <= math.ulp(exact), (N, a, str(d))
 
     def test_symmetry_about_center(self):
         rng = random.Random(42)
@@ -119,7 +133,7 @@ class TestEvalF:
             for j in range(1, M, max(1, M // 120)):
                 x = Fraction(j, M)
                 fn_val = float(eval_fn(p, depth, x))
-                assert abs(eval_F_rational(p, x, TOL) - fn_val) <= 10 * TOL
+                assert abs(eval_F_rational(p, x) - fn_val) <= 10 * TOL
 
 
 class TestSlopes:
