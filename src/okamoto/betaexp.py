@@ -6,10 +6,10 @@ branching oracle that counts expansions, Thue-Morse style sequences with the
 associated critical bases, and entropy-based dimension bounds for the set of
 points with a unique expansion.
 
-Numeric policy: a beta given as an int or Fraction is treated as exact and
-strict comparisons are decided in rational arithmetic; a beta given as a float
-is treated as an approximation, and any strict comparison that lands within
-1e-12 of a boundary raises PrecisionError instead of guessing.
+Numeric policy: strict comparisons follow numdigits.compare.  A beta given
+as an int or Fraction is decided exactly; a beta given as a float is taken at
+its exact value, and a comparison within numdigits.TIE_TOL of a boundary
+raises PrecisionError instead of guessing.
 
 All operations are pure.  The word counting in univoque_entropy_bounds grows
 admissible prefixes one digit at a time, so its cost follows the surviving
@@ -21,22 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PrecisionError, ResourceError
-from .numdigits import Number, OmegaSeq
+from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact
 
-TIE_TOL = 1e-12
 DEFAULT_FRONTIER_CAP = 50_000_000
-
-
-def _as_exact(beta) -> Fraction | None:
-    if isinstance(beta, Rational):
-        return Fraction(beta)
-    return None
 
 
 def pi_beta(w: OmegaSeq, beta) -> Number:
@@ -46,8 +38,7 @@ def pi_beta(w: OmegaSeq, beta) -> Number:
     """
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    bq = _as_exact(beta)
-    return _shift_values(w, bq if bq is not None else float(beta))[0]
+    return _shift_values(w, Fraction(beta) if is_exact(beta) else float(beta))[0]
 
 
 def _shift_values(w: OmegaSeq, beta) -> list:
@@ -119,9 +110,9 @@ def quasi_greedy_one(N: int, beta, max_len: int) -> QuasiGreedyResult:
         raise DomainError("max_len must be >= 1")
     if not (1 < beta <= N + 1):
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
-    bq = _as_exact(beta)
     digits: list[int] = []
-    if bq is not None:
+    if is_exact(beta):
+        bq = Fraction(beta)
         r = Fraction(1)
         seen: dict[Fraction, int] = {}
         for i in range(max_len):
@@ -168,7 +159,9 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     (OmegaSeq.tail_sums) gives all their values; a complement's value is
     N/(beta-1) minus the direct one.  Endpoint sequences (the constant 0 and
     constant N sequences) fail the criterion by definition even though they
-    are the unique expansions of their values.
+    are the unique expansions of their values.  A float beta is taken at its
+    exact value; a tie (numdigits.compare) raises PrecisionError, unless some
+    shift fails the criterion outright.
     """
     if w.N != N:
         raise DomainError(f"sequence alphabet N={w.N} does not match N={N}")
@@ -176,20 +169,17 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
     bq = Fraction(beta)
     K = Fraction(N) / (bq - 1)
-    approx = isinstance(beta, float)
-    ambiguous_at = None
-    for n, v in enumerate(_shift_values(w, bq)):
-        # complement tail value is K - v, so both conditions read K-1 < v < 1
-        if approx and (abs(v - 1) <= TIE_TOL or abs(v - (K - 1)) <= TIE_TOL):
-            ambiguous_at = (n, v)
-            continue
-        if not (K - 1 < v < 1):
-            return False  # definitive regardless of any ambiguous tail
-    if ambiguous_at is not None:
-        n, v = ambiguous_at
+    values = _shift_values(w, bq)
+    # complement tail value is K - v, so both conditions read K-1 < v < 1;
+    # only the largest and the least value can fail or tie
+    inexact = not is_exact(beta)
+    signs = {compare(max(values), 1, inexact), compare(K - 1, min(values), inexact)}
+    if signs - {-1, None}:
+        return False  # definitive regardless of any tie
+    if None in signs:
         raise PrecisionError(
-            f"projection value {float(v):.17g} is within {TIE_TOL} of a "
-            f"strict boundary at shift {n}; supply beta as an exact rational"
+            f"a projection value is within {TIE_TOL} of a strict boundary; "
+            "supply beta as an exact rational"
         )
     return True
 
@@ -277,18 +267,16 @@ def generalized_golden_ratio(N: int) -> int | float:
     return (m + math.sqrt(m * m + 4 * m)) / 2
 
 
-def komornik_loreti(N: int, tol: float = 1e-12) -> float:
+def komornik_loreti(N: int) -> float:
     """Critical base: the unique root of pi_beta(tm-sequence) = 1.
 
     Bisection (bisect_root) on the strictly decreasing map beta ->
     pi_beta(tau), with the sequence truncated once the geometric tail bound
-    drops below tol/10.
+    drops below 1e-13.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     G = float(generalized_golden_ratio(N))
     max_digit = (N + 1) // 2 + (0 if N % 2 == 1 else 1)
-    k = math.ceil(math.log(10 * max_digit / (tol * (G - 1))) / math.log(G)) + 4
+    k = math.ceil(math.log(10 * max_digit / (1e-12 * (G - 1))) / math.log(G)) + 4
     digits = generalized_tm_prefix(N, k)
 
     def f(beta: float) -> float:
@@ -297,15 +285,15 @@ def komornik_loreti(N: int, tol: float = 1e-12) -> float:
             s = (s + d) / beta
         return s - 1.0
 
-    return bisect_root(f, G, float(N + 1), tol)
+    return bisect_root(f, G, float(N + 1))
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection run down to floating-point collapse (200 iteration cap).
 
-    tol only bounds how much wider than machine precision the caller will
-    tolerate; the defining functions here have steep slopes, so stopping at a
-    fixed interval width would leave residuals far above the width.
+    It stops early only once the bracket is 1e-16 wide; the defining
+    functions here have steep slopes, so stopping at a wider interval would
+    leave residuals far above its width.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0:
@@ -327,7 +315,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * 1e-4:
+        if hi - lo <= 1e-16:
             break
     return 0.5 * (lo + hi)
 

@@ -124,19 +124,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True, type=str)
     p.add_argument("--probe-levels", type=int, default=0)
     p.add_argument("--csv", action="store_true", help="emit probe rows as CSV")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("thresholds", help="the five regime thresholds per N")
     p.add_argument("--N", required=True, type=str, help="e.g. 3 or 1..10 or 1,4,9")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("dim-d0", help="dimension report for the zero-derivative set")
     common_na(p)
     p.add_argument("--grid", type=int, default=0, help="emit an a,dim curve instead")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("dim-dinf", help="dimension report for the infinite-derivative set")
     common_na(p)
@@ -146,7 +142,6 @@ def _build_parser() -> _Parser:
     common_na(p)
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("beta", help="beta-expansion operations")
     p.add_argument("--op", required=True, choices=[
@@ -170,7 +165,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("asymptotics", help="N-scaled thresholds vs their limits")
     p.add_argument("--N", required=True, type=str)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     return top
 
@@ -223,7 +217,7 @@ def _cmd_classify(args, out: TextIO) -> None:
 
 def _cmd_thresholds(args, out: TextIO) -> None:
     ns = parse_n_range(args.N)
-    rows = [spectrum.thresholds(n, args.tol) for n in ns]
+    rows = [spectrum.thresholds(n) for n in ns]
     if args.csv:
         out.write("N,a_min,a0_tilde,a0_star,a_inf_hat,a_inf_star\n")
         for t in rows:
@@ -355,9 +349,6 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "csv", False) and getattr(args, "json", False):
-        err.write("usage error: --csv and --json are mutually exclusive\n")
-        return 1
     try:
         _COMMANDS[args.verb](args, out)
     except (DomainError, GridPointError) as exc:

@@ -19,23 +19,24 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, ResourceError
 from .numdigits import (
     DigitSeq,
     Number,
     OmegaSeq,
     Params,
+    compare,
     decimal_context,
     digits_of,
+    is_exact,
     odd_total,
 )
 from .selfaffine import eval_F
-
-MARGIN_TIE_TOL = 1e-12
 
 
 class DerivativeTag(enum.Enum):
@@ -61,6 +62,8 @@ class DerivativeClass:
     tail_margins: tuple[tuple[Number, Number], ...] | None
 
     def to_json_obj(self) -> dict:
+        if self.growth_factor > sys.float_info.max:
+            raise ResourceError("the growth factor gamma is past float range")
         return {
             "tag": self.tag.value,
             "gamma": float(self.growth_factor),
@@ -85,8 +88,8 @@ def check_infinite_conditions(
     Preperiod digits are irrelevant: the limits depend only on large indices.
 
     A float a is taken at its exact value and its margins are summed at 50
-    digits (decimal_tail_sums), tested there against MARGIN_TIE_TOL = 1e-12
-    (PrecisionError) and returned as floats.
+    digits (decimal_tail_sums), compared with zero there (numdigits.compare;
+    a tie raises PrecisionError) and returned as floats.
     """
     if w.N != p.N:
         raise DomainError(f"sequence alphabet N={w.N} does not match params N={p.N}")
@@ -95,18 +98,14 @@ def check_infinite_conditions(
     c = 2 - p.N * a / u  # direct plus complement margin, at every r
     term, ratio = [u - a * d for d in range(p.N + 1)], [a] * (p.N + 1)
     L = len(w.preperiod)
-    if isinstance(p.a, Fraction):
+    if is_exact(p.a):
         margins = [(t, c - t) for t in w.tail_sums(term, ratio)[L:]]
     else:
         with decimal_context():
             c = Decimal(c.numerator) / c.denominator
             margins = [(t, c - t) for t in w.decimal_tail_sums(term, ratio)[L:]]
-            for r, pair in enumerate(margins):
-                if min(abs(t) for t in pair) <= MARGIN_TIE_TOL:
-                    raise PrecisionError(
-                        f"tail margin within {MARGIN_TIE_TOL} of zero at residue {r}; "
-                        "supply a as an exact rational to decide the boundary case"
-                    )
+            # a tie at any residue raises; past it every margin's float has its exact sign
+            compare(min(abs(t) for pair in margins for t in pair), 0, what="a tail margin")
         margins = [(float(t), float(tb)) for t, tb in margins]
     cond_direct = all(t > 0 for t, _ in margins)
     cond_comp = all(tb > 0 for _, tb in margins)
@@ -124,7 +123,9 @@ def classify_derivative(p: Params, d: DigitSeq) -> DerivativeClass:
     derivative signed by the parity of the odd-digit total; a zero margin
     breaks the required divergence, so any non-positive margin means
     NOT_DIFFERENTIABLE.  Grid points j/(2N+1)^n fall out automatically: their
-    all-zero tail makes the complement margin 1 - aN/(1-a) < 0.
+    all-zero tail makes the complement margin 1 - aN/(1-a) < 0.  For a float
+    a, gamma is that of its exact value, compared with 1 at 50 digits
+    (numdigits.compare; a tie raises PrecisionError) and returned as a float.
     """
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
@@ -133,10 +134,18 @@ def classify_derivative(p: Params, d: DigitSeq) -> DerivativeClass:
     B = 2 * p.N + 1
     odd = sum(1 for t in d.period if t % 2 == 1)
     even = len(d.period) - odd
-    gamma = (B * p.a) ** even * (B * p.b) ** odd
+    if is_exact(p.a):
+        gamma = (B * p.a) ** even * (B * p.b) ** odd
+        below = odd > 0 and gamma < 1
+    else:
+        with decimal_context():
+            a = Decimal(p.a)
+            gamma = (B * a) ** even * (B * ((p.N + 1) * a - 1) / p.N) ** odd
+            below = odd > 0 and compare(gamma, 1, what="the growth factor gamma") < 0
+        gamma = float(gamma)
     M = odd_total(d)
     if odd > 0:
-        tag = DerivativeTag.ZERO if gamma < 1 else DerivativeTag.NOT_DIFFERENTIABLE
+        tag = DerivativeTag.ZERO if below else DerivativeTag.NOT_DIFFERENTIABLE
         return DerivativeClass(tag, gamma, M, None)
     omega = OmegaSeq(p.N, (), tuple(t // 2 for t in d.period))
     cond_direct, cond_comp, margins = check_infinite_conditions(p, omega)

@@ -6,7 +6,9 @@ preperiod and a repeating period (DigitSeq); expansions in a base beta over
 tail_sums sums every shift of a sequence in closed form in O(L+m) operations;
 F's values, the tail margins and the projections in base beta all come from
 it, in Fractions or at DECIMAL_DIGITS digits.  Long division stops at
-EXPANSION_DIGIT_CAP digits.
+EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int and
+Fraction inputs are decided exactly, a float within TIE_TOL of a strict
+boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -17,20 +19,46 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError
 
 Number = float | Fraction
 EXPANSION_DIGIT_CAP = 1_000_000  # about a second of long division
 DECIMAL_DIGITS = 50  # 33 digits beyond a float's 17, for cancellation near a = 1
+TIE_TOL = 1e-12  # an approximate value this near a strict boundary is a tie
 
 
 def decimal_context():
     """A with-block running Decimal arithmetic in a fresh DECIMAL_DIGITS context."""
-    return localcontext(Context(prec=DECIMAL_DIGITS))
+    return localcontext(Context(prec=DECIMAL_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def is_exact(v) -> bool:
+    """Whether v is decided exactly: an int or Fraction is, a float is not."""
+    return isinstance(v, (int, Fraction)) or isinstance(v, Rational)  # ABC check last: slow
+
+
+def compare(x, bound, inexact: bool = False, what: str | None = None) -> int | None:
+    """Sign of x - bound (-1, 0 or 1) under the numeric policy; None for a tie.
+
+    Exact when x and bound are int or Fraction and the caller does not flag x
+    as computed from a float; otherwise a difference within TIE_TOL is a tie,
+    which raises PrecisionError once `what` names a verdict.  A NaN raises
+    DomainError.  A Decimal x is compared inside decimal_context().
+    """
+    if not inexact and is_exact(x) and is_exact(bound):
+        return 1 if x > bound else -1 if x < bound else 0
+    diff = x - bound
+    if diff != diff:
+        raise DomainError(f"{what or 'a value'} is not a number, got {x}")
+    if abs(diff) > TIE_TOL:
+        return 1 if diff > 0 else -1
+    if what is not None:
+        raise PrecisionError(f"{what} lies within {TIE_TOL} of {bound}; supply an exact rational")
+    return None
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -225,16 +253,14 @@ def make_params(N: int, a: Number) -> Params:
 
     Raises DomainError unless N >= 1 and 1/(N+1) < a < 1; values of a at or
     below 1/(N+1) give a Cantor-type or singular function and are out of scope.
+    A float a gives the b of its exact value rounded once.
     """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")
-    if isinstance(a, Rational) and not isinstance(a, Fraction):
-        a = Fraction(a)
-    lo = Fraction(1, N + 1)
-    if not (lo < a < 1):
+    if not (Fraction(1, N + 1) < a < 1):
         raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
-    b = ((N + 1) * a - 1) / N
-    return Params(N=N, a=a, b=b)
+    b = ((N + 1) * Fraction(a) - 1) / N
+    return Params(N, Fraction(a), b) if is_exact(a) else Params(N, a, float(b))
 
 
 def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:

@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DomainError, GridPointError, PrecisionError, ResourceError
-from .numdigits import DigitSeq, Number, Params, digits_of, make_params, odd_count_prefix
+from .numdigits import DigitSeq, Number, Params, digits_of, is_exact, make_params, odd_count_prefix
 
 GRAPH_POINT_CAP = 10_000_000
 # 20 of eval_F's 50 digits survive at 1 - a = 1e-30; floats stop at 2^-53
@@ -106,7 +106,7 @@ def eval_F_exact(p: Params, d: DigitSeq) -> Fraction:
     The digit series is summed in closed form over one period
     (DigitSeq.tail_sums).
     """
-    if not isinstance(p.a, Fraction):
+    if not is_exact(p.a):
         raise DomainError("eval_F_exact requires a rational slope parameter a")
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")

@@ -6,7 +6,8 @@ empty; below a_inf_hat the infinite-derivative set has positive dimension,
 above a_inf_star it is empty, with a countable regime in between.  Closed
 forms exist for a_min, a0_star and a_inf_star; a0_tilde and a_inf_hat are
 pinned down by bisection against their defining equations (monotonicity makes
-plain bisection robust; 200 iterations cap).
+plain bisection robust; 200 iterations cap).  The dimension reports place a
+among the thresholds by numdigits.compare, the package's one tie rule.
 
 Grid evaluations parallelize pointwise; everything here is pure.
 """
@@ -23,10 +24,9 @@ from . import betaexp
 from .betaexp import EntropyBounds, bisect_root, komornik_loreti, generalized_golden_ratio
 from .derivative import DerivativeTag, classify_derivative
 from .errors import DomainError, ResourceError
-from .numdigits import DigitSeq, Number, OmegaSeq, make_params
+from .numdigits import DigitSeq, Number, OmegaSeq, compare, is_exact, make_params
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
-THRESHOLD_EQ_TOL = 1e-12
 ENUMERATION_WORK_CAP = 100_000  # about 20 s at 0.2 ms per classification
 
 
@@ -73,30 +73,28 @@ def log_g(N: int, a: float) -> float:
     )
 
 
-def a0_tilde(N: int, tol: float = 1e-12) -> float:
+def a0_tilde(N: int) -> float:
     if N < 1:
         raise DomainError("N must be >= 1")
     lo = 1.0 / (N + 1)
     lo = lo + lo * 1e-15  # keep the log arguments positive
     while (N + 1) * lo - 1 <= 0:
         lo = math.nextafter(lo, 1.0)
-    return bisect_root(lambda a: log_g(N, a), lo, 1.0, tol)
+    return bisect_root(lambda a: log_g(N, a), lo, 1.0)
 
 
-def thresholds(N: int, tol: float = 1e-12) -> Thresholds:
+def thresholds(N: int) -> Thresholds:
     """All five thresholds for one N; closed forms where they exist."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     G = generalized_golden_ratio(N)
     a_inf_star: Number = Fraction(1, G) if isinstance(G, int) else 1.0 / G
     return Thresholds(
         N=N,
         a_min=Fraction(1, N + 1),
-        a0_tilde=a0_tilde(N, tol),
+        a0_tilde=a0_tilde(N),
         a0_star=Fraction(3 * N + 1, (N + 1) * (2 * N + 1)),
-        a_inf_hat=1.0 / komornik_loreti(N, tol),
+        a_inf_hat=1.0 / komornik_loreti(N),
         a_inf_star=a_inf_star,
     )
 
@@ -105,31 +103,26 @@ def critical_frequency(N: int, a: Number) -> float:
     """Odd-digit frequency at which the approximant slopes neither grow nor decay.
 
     phi = log((2N+1)a) / log(1 + r), r = (1 - a) / ((N+1)a - 1); it satisfies
-    (2N+1) a (b/a)^phi = 1.  An int/Fraction a is checked against the domain
-    exactly, and log(1 + r) is taken from the exact rational r: as log1p(r)
-    while r fits a float, and as log(numerator + denominator) -
-    log(denominator) near a_min, where r is huge.  A float a uses
-    log(Na) - log((N+1)a - 1) unless floats cannot resolve it from 0, and
-    then falls back to the rational r of its exact binary value.  A
-    denominator that underflows to 0 gives inf, the rounding of a phi beyond
-    float range.
+    (2N+1) a (b/a)^phi = 1.  The domain test is exact.  r is exact for an
+    int/Fraction a; for a float a, (N+1)a - 1 is rounded once, so nothing
+    cancels near either end.  log(1 + r) is log1p(r), or log(numerator +
+    denominator) - log(denominator) once an exact r is past float range; a
+    denominator that underflows to 0 gives inf.
     """
-    af = float(a)
-    exact = isinstance(a, (int, Fraction))
-    inside = Fraction(1, N + 1) < a < 1 if exact else 1.0 / (N + 1) < af < 1.0
-    if not inside:
+    exact = is_exact(a)
+    q = Fraction(a) if exact else a
+    # (N+1)a - 1, exact or rounded once: either way its sign is exact
+    excess = (N + 1) * q - 1 if exact else math.fsum([a] * (N + 1) + [-1.0])
+    if not (excess > 0 and a < 1):
         raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
-    excess = (N + 1) * af - 1
-    log_ratio = math.log(N * af) - math.log(excess) if not exact and excess > 0 else 0.0
-    if log_ratio <= 0.0:
-        r = (1 - Fraction(a)) / ((N + 1) * Fraction(a) - 1)
-        if r < 2**1000:
-            log_ratio = math.log1p(r)
-        else:  # r is past float range
-            log_ratio = math.log(r.numerator + r.denominator) - math.log(r.denominator)
-        if log_ratio == 0.0:
-            return math.inf
-    return math.log((2 * N + 1) * af) / log_ratio
+    r = (1 - q) / excess
+    if r < 2**1000:
+        log_ratio = math.log1p(r)
+    else:  # an exact r past float range
+        log_ratio = math.log(r.numerator + r.denominator) - math.log(r.denominator)
+    if log_ratio == 0.0:
+        return math.inf
+    return math.log((2 * N + 1) * float(a)) / log_ratio
 
 
 def frequency_dimension(N: int, p: float) -> float:
@@ -198,59 +191,52 @@ class DimensionReport:
         return obj
 
 
+def _regime_index(a: Number, t: Thresholds, bounds: tuple) -> tuple[int, bool]:
+    """How many ascending bounds a reaches (a tie reaches one), and whether it ties the last."""
+    if (compare(a, t.a_min, what="a"), compare(a, 1, what="a")) != (1, -1):
+        raise DomainError(f"a must lie in (1/{t.N + 1}, 1), got {a}")
+    orders = [compare(a, bound) for bound in bounds]
+    k = sum(order != -1 for order in orders)
+    return k, k > 0 and orders[k - 1] is None
+
+
 def dim_zero_set(N: int, a: Number) -> DimensionReport:
     """Dimension report for the set where F' = 0.
 
     EMPTY (value 0) from a0_star on, including the endpoint;
     NULL_UNCOUNTABLE with value h(phi(a)) on [a0_tilde, a0_star); below
     a0_tilde the set has full measure and the reported value is the dimension
-    of its complement.
+    of its complement.  A tie with a threshold (numdigits.compare) gets the
+    regime at that threshold, flagged at_threshold.
     """
     t = thresholds(N)
-    if not (t.a_min < a < 1):
-        raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
-    if a >= t.a0_star:
-        return DimensionReport(N=N, a=float(a), regime="EMPTY", value=0.0)
-    value = frequency_dimension(N, critical_frequency(N, a))
-    if a >= t.a0_tilde:
-        return DimensionReport(N=N, a=float(a), regime="NULL_UNCOUNTABLE", value=value)
-    return DimensionReport(
-        N=N,
-        a=float(a),
-        regime="FULL_MEASURE",
-        value=value,
-        note="set has full measure; value is the dimension of its complement",
-    )
+    k, tie = _regime_index(a, t, (t.a0_tilde, t.a0_star))
+    regime = ("FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY")[k]
+    value = frequency_dimension(N, critical_frequency(N, a)) if k < 2 else 0.0
+    note = "set has full measure; value is the dimension of its complement" if k == 0 else None
+    return DimensionReport(N, float(a), regime, value, note=note, at_threshold=tie)
 
 
 def dim_infinite_set(N: int, a: Number, depth: int = 20) -> DimensionReport:
     """Dimension report for the set where F' = +/-infinity.
 
     EMPTY from a_inf_star on; COUNTABLE_RATIONAL strictly between a_inf_hat
-    and a_inf_star; UNCOUNTABLE_DIM_ZERO within 1e-12 of the computed
-    a_inf_hat (flagged at_threshold, neighbors listed); below that, bounds
-    log(1/a)/log(2N+1) times the univoque-set entropy bounds at the given
-    depth.
+    and a_inf_star; UNCOUNTABLE_DIM_ZERO at the computed a_inf_hat (neighbors
+    listed); below that, bounds log(1/a)/log(2N+1) times the univoque-set
+    entropy bounds at the given depth.  A tie with a threshold
+    (numdigits.compare) gets the regime at it, flagged at_threshold.
     """
     t = thresholds(N)
-    if not (t.a_min < a < 1):
-        raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
+    k, tie = _regime_index(a, t, (t.a_inf_hat, t.a_inf_star))
     af = float(a)
-    if a >= t.a_inf_star:
-        return DimensionReport(N=N, a=af, regime="EMPTY", value=0.0)
-    if abs(af - t.a_inf_hat) <= THRESHOLD_EQ_TOL:
-        return DimensionReport(
-            N=N,
-            a=af,
-            regime="UNCOUNTABLE_DIM_ZERO",
-            value=0.0,
-            at_threshold=True,
-            note="at the countable/positive-dimension threshold; "
-            "COUNTABLE_RATIONAL above, POSITIVE_DIM below",
-        )
-    if af > t.a_inf_hat:
-        return DimensionReport(N=N, a=af, regime="COUNTABLE_RATIONAL", value=0.0)
-    beta = 1 / Fraction(a) if isinstance(a, (int, Fraction)) else 1.0 / af
+    if k == 1 and tie:
+        note = "at the countable/positive-dimension threshold; "
+        note += "COUNTABLE_RATIONAL above, POSITIVE_DIM below"
+        return DimensionReport(N, af, "UNCOUNTABLE_DIM_ZERO", 0.0, note=note, at_threshold=True)
+    if k:
+        regime = ("COUNTABLE_RATIONAL", "EMPTY")[k - 1]
+        return DimensionReport(N, af, regime, 0.0, at_threshold=tie)
+    beta = 1 / Fraction(a) if is_exact(a) else 1.0 / af
     eb: EntropyBounds = betaexp.univoque_entropy_bounds(N, beta, depth)
     factor = math.log(1.0 / af) / math.log(2 * N + 1)
     return DimensionReport(
@@ -327,7 +313,7 @@ def enumerate_infinite_points(
             f"{prefixes} prefixes x {words} words ({work} steps in all), over the "
             f"cap of {ENUMERATION_WORK_CAP}"
         )
-    beta = 1 / Fraction(a) if isinstance(a, (int, Fraction)) else 1.0 / float(a)
+    beta = 1 / Fraction(a) if is_exact(a) else 1.0 / float(a)
     admissible: list[OmegaSeq] = []
     for plen in range(1, max_period + 1):
         for word in product(range(N + 1), repeat=plen):

@@ -155,6 +155,15 @@ class TestDimVerbs:
         code, out, _ = call(["dim-dinf", "--N", "1", "--a", "0.63"])
         assert json.loads(out)["regime"] == "EMPTY"
 
+    @pytest.mark.parametrize("argv, regime", [
+        (["dim-dinf", "--N", "1", "--a", "gr:1"], "EMPTY"),
+        (["dim-d0", "--N", "1", "--a", "a0tilde:1"], "NULL_UNCOUNTABLE"),
+    ])
+    def test_threshold_reference_is_at_threshold(self, argv, regime):
+        code, out, _ = call(argv)
+        assert code == 0 and '"at_threshold":true' in out
+        assert json.loads(out)["regime"] == regime
+
 
 class TestAsymptoticsVerb:
     def test_csv(self):
@@ -206,6 +215,11 @@ class TestMalformedCalls:
         assert code in (1, 2) and out == ""
         assert "Traceback" not in err and err.startswith(("usage error", "domain error"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_thresholds_has_no_tol_option(self, value):
+        code, out, err = call(["thresholds", "--N", "1", "--tol", value])
+        assert (code, out) == (1, "") and err.startswith("usage error")
+
     def test_non_integer_digit_is_a_domain_error(self):
         code, out, err = call(["beta", "--op", "univoque", "--N", "1", "--beta", "1.9", "--w", "(x)"])
         assert (code, out) == (2, "")
@@ -245,6 +259,14 @@ class TestResourceCaps:
         assert proc.returncode == 4 and "resource error" in proc.stderr
         assert "1000000" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 10
+
+    def test_gamma_past_float_range_exits_4(self):
+        # gamma = (3a)^even (3b)^odd passes 1.8e308 over about 1,150 digits at
+        # the float a = 1/golden ratio, and over 800 even digits at a = 9/10
+        for a, period in (("gr:1", (2,) * 1199 + (1,)), ("9/10", (2,) * 799 + (0,))):
+            x = okamoto.DigitSeq(1, (), period).value()
+            code, out, err = call(["classify", "--N", "1", "--a", a, "--x", str(x)])
+            assert (code, out) == (4, "") and "gamma" in err, a
 
     def test_large_enumeration_exits_4(self):
         proc, elapsed = cli_process(

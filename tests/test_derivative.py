@@ -106,6 +106,47 @@ class TestInfiniteConditions:
         assert not c7
 
 
+class TestGrowthFactorTie:
+    """gamma < 1 follows numdigits.compare: a float a is decided at its exact value."""
+
+    def test_float_a_within_the_tie_band_of_gamma_one_raises(self):
+        # N = 1, period (1): gamma = 3b = 6a - 3 equals 1 at a = 2/3
+        d = DigitSeq(1, (), (1,))
+        for a in (2 / 3 + 1e-13, 2 / 3 - 1e-13):
+            with pytest.raises(PrecisionError):
+                classify_derivative(make_params(1, a), d)
+
+    def test_exact_a_near_gamma_one_is_decided(self):
+        d = DigitSeq(1, (), (1,))
+        eps = Fraction(1, 10**13)
+        below = classify_derivative(make_params(1, Fraction(2, 3) - eps), d)
+        above = classify_derivative(make_params(1, Fraction(2, 3) + eps), d)
+        assert below.tag == DerivativeTag.ZERO
+        assert above.tag == DerivativeTag.NOT_DIFFERENTIABLE
+
+    def test_float_a_gets_the_verdict_of_its_exact_value(self):
+        # float arithmetic cancels in b = (3a - 1)/2 and put gamma above 1;
+        # at the float's exact value gamma - 1 = -7.7e-8
+        a = 0.3333333335115666
+        d = DigitSeq(2, (), (0,) * 40 + (1,))
+        exact = classify_derivative(make_params(2, Fraction(a)), d)
+        assert exact.tag == DerivativeTag.ZERO
+        assert -8e-8 < exact.growth_factor - 1 < -7e-8
+        v = classify_derivative(make_params(2, a), d)
+        assert v.tag == DerivativeTag.ZERO
+        assert v.growth_factor == float(exact.growth_factor)
+
+    def test_float_gamma_is_the_exact_gamma_rounded(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            N = rng.randint(1, 4)
+            a = rng.uniform(1 / (N + 1), 1)
+            d = random_digitseq(rng, N)
+            got = classify_derivative(make_params(N, a), d).growth_factor
+            want = float(classify_derivative(make_params(N, Fraction(a)), d).growth_factor)
+            assert abs(got - want) <= math.ulp(want), (N, a, str(d))
+
+
 class TestClassificationBudget:
     def test_all_even_period_of_800_digits_with_exact_a(self):
         rng = random.Random(5)

@@ -11,6 +11,7 @@ from okamoto import (
     DigitSeq,
     DomainError,
     OmegaSeq,
+    PrecisionError,
     ResourceError,
     check_infinite_conditions,
     digits_of_rational,
@@ -62,6 +63,49 @@ class TestMakeParams:
             return
         assert (N + 1) * p.a - N * p.b == 1
         assert 0 < p.b < p.a < 1
+
+    def test_float_b_is_the_exact_b_rounded_once(self):
+        # (N+1)a - 1 in floats cancels near a_min: 3.5e-5 relative at N = 2
+        rng = random.Random(3)
+        cases = [(N, 1 / (N + 1) + 10.0**-k) for N in range(1, 7) for k in range(3, 15)]
+        cases += [(N, rng.uniform(1 / (N + 1), 1)) for N in range(1, 7) for _ in range(50)]
+        for N, a in cases:
+            p = make_params(N, a)
+            assert p.a == a and p.b == float(((N + 1) * Fraction(a) - 1) / N), (N, a)
+
+
+class TestCompare:
+    """numdigits.compare is the numeric policy: exact for int/Fraction, a tie band for floats."""
+
+    def test_exact_inputs_are_decided_exactly(self):
+        eps = Fraction(1, 10**30)
+        assert numdigits.compare(Fraction(1, 2) + eps, Fraction(1, 2)) == 1
+        assert numdigits.compare(Fraction(1, 2) - eps, Fraction(1, 2)) == -1
+        assert numdigits.compare(Fraction(2, 4), Fraction(1, 2)) == 0
+        assert numdigits.compare(1, Fraction(1, 2)) == 1
+
+    def test_float_within_the_tie_band_is_a_tie(self):
+        assert numdigits.TIE_TOL == 1e-12
+        assert numdigits.compare(0.5 + 1e-13, Fraction(1, 2)) is None
+        assert numdigits.compare(Fraction(1, 2), 0.5 - 1e-13) is None  # a bound known as a float
+        assert numdigits.compare(0.5 + 1e-11, Fraction(1, 2)) == 1
+        assert numdigits.compare(0.5 - 1e-11, 0.5) == -1
+
+    def test_values_computed_from_a_float_are_flagged(self):
+        assert numdigits.compare(Fraction(1, 2) + Fraction(1, 10**13), Fraction(1, 2), True) is None
+        with numdigits.decimal_context():
+            assert numdigits.compare(decimal.Decimal("1e-13"), 0) is None
+            assert numdigits.compare(decimal.Decimal("-1e-11"), 0) == -1
+
+    def test_a_named_tie_raises(self):
+        with pytest.raises(PrecisionError, match="gamma"):
+            numdigits.compare(1 + 1e-13, 1, what="gamma")
+        assert numdigits.compare(Fraction(1), 1, what="gamma") == 0
+
+    def test_nan_is_unordered(self):
+        for x in (math.nan, decimal.Decimal("NaN")):
+            with pytest.raises(DomainError, match="not a number"):
+                numdigits.compare(x, 1)
 
 
 class TestDigitsOfRational:

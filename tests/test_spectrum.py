@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from okamoto import (
     DerivativeTag,
     DomainError,
+    PrecisionError,
     ResourceError,
     dim_infinite_set,
     dim_zero_set,
@@ -22,6 +24,15 @@ from okamoto import (
 from okamoto.spectrum import a0_tilde, log_g
 
 F = Fraction
+
+
+def phi_mpmath(N, a):
+    """phi at a's exact value, from a 60-digit mpmath evaluation."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        q = F(a)
+        am = mp.mpf(q.numerator) / q.denominator
+        return float(mp.log((2 * N + 1) * am) / mp.log(N * am / ((N + 1) * am - 1)))
 
 
 class TestThresholds:
@@ -96,17 +107,28 @@ class TestFrequencyFunctions:
         )
         assert critical_frequency(1, 1 - F(1, 10**400)) == math.inf
 
-    @pytest.mark.parametrize("a", [
-        F(1, 2) + F(1, 10**16), F(1, 2) + F(1, 10**12), 1 - F(1, 10**12),
+    @pytest.mark.parametrize("N, a", [
+        pytest.param(1, F(1, 2) + F(1, 10**16), id="a0"),
+        pytest.param(1, F(1, 2) + F(1, 10**12), id="a1"),
+        pytest.param(1, 1 - F(1, 10**12), id="a2"),
+        pytest.param(24, 0.9999999999988953, id="float-N24-near-one"),
+        pytest.param(1, 1 - 1e-12, id="float-N1-near-one"),
+        pytest.param(2, 1 / 3 + 1e-12, id="float-N2-near-a_min"),
+        pytest.param(7, 0.9999999999999998, id="float-N7-last-float-below-one"),
+        pytest.param(3, F(1, 4) + F(1, 10**40), id="N3-far-below-float-resolution"),
     ])
-    def test_phi_exact_a_against_mpmath(self, a):
-        # float(a) carries relative error ~1e-16, which the difference
-        # log(Na) - log(2a - 1) would amplify; the rational r avoids that
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            am = mp.mpf(a.numerator) / a.denominator
-            want = mp.log(3 * am) / mp.log(am / (2 * am - 1))
-            assert critical_frequency(1, a) == pytest.approx(float(want), rel=1e-14)
+    def test_phi_exact_a_against_mpmath(self, N, a):
+        # a difference of logs, log(Na) - log((N+1)a - 1), would cancel near
+        # either end; log1p of the ratio, exact or rounded once, does not
+        assert critical_frequency(N, a) == pytest.approx(phi_mpmath(N, a), rel=1e-14)
+
+    def test_phi_float_a_near_the_domain_ends_against_mpmath(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            N = rng.randint(1, 30)
+            gap = 10.0 ** -rng.uniform(1, 12)
+            a = 1 - gap if rng.random() < 0.5 else 1 / (N + 1) + gap
+            assert critical_frequency(N, a) == pytest.approx(phi_mpmath(N, a), rel=1e-14), (N, a)
 
     def test_phi_float_a_whose_excess_rounds_to_zero(self):
         # 3 * 0.33333333333333337 rounds to 1.0, though the float exceeds 1/3
@@ -224,6 +246,56 @@ class TestDimInfiniteSet:
             r = dim_infinite_set(1, a, depth=12)
             uppers.append(r.value[1])
         assert uppers[0] >= uppers[1] >= uppers[2]
+
+
+class TestTieRule:
+    """Dimension reports place a among the thresholds by numdigits.compare."""
+
+    def test_float_within_the_tie_band_of_a_domain_end_raises(self):
+        for report in (dim_zero_set, dim_infinite_set):
+            for a in (0.5 + 1e-13, 1 - 1e-13):
+                with pytest.raises(PrecisionError):
+                    report(1, a)
+        assert dim_zero_set(1, F(1, 2) + F(1, 10**13)).regime == "FULL_MEASURE"
+
+    def test_nan_is_outside_the_domain(self):
+        for report in (dim_zero_set, dim_infinite_set):
+            with pytest.raises(DomainError):
+                report(1, math.nan)
+
+    def test_a0_tilde_tie_is_null_uncountable_at_threshold(self):
+        t = thresholds(1)
+        for a in (t.a0_tilde - 1e-14, t.a0_tilde, t.a0_tilde + 1e-14, F(t.a0_tilde)):
+            r = dim_zero_set(1, a)
+            assert (r.regime, r.at_threshold) == ("NULL_UNCOUNTABLE", True), a
+            assert abs(r.value - 1.0) < 1e-6
+
+    def test_a0_star_tie_is_empty_at_threshold(self):
+        star = thresholds(2).a0_star
+        for a in (float(star) - 1e-14, float(star) + 1e-14):
+            r = dim_zero_set(2, a)
+            assert (r.regime, r.value, r.at_threshold) == ("EMPTY", 0.0, True), a
+        # the exact threshold is decided exactly
+        at = dim_zero_set(2, star)
+        assert (at.regime, at.at_threshold) == ("EMPTY", False)
+        below = dim_zero_set(2, star - F(1, 10**14))
+        assert (below.regime, below.at_threshold) == ("NULL_UNCOUNTABLE", False)
+
+    def test_a_inf_star_tie_is_empty_at_threshold(self):
+        for N in (1, 2):
+            star = float(thresholds(N).a_inf_star)
+            for a in (star - 1e-14, star + 1e-14):
+                r = dim_infinite_set(N, a)
+                assert (r.regime, r.value, r.at_threshold) == ("EMPTY", 0.0, True), (N, a)
+        below = dim_infinite_set(2, F(1, 2) - F(1, 10**14))
+        assert (below.regime, below.at_threshold) == ("COUNTABLE_RATIONAL", False)
+        assert "at_threshold" not in dim_infinite_set(2, F(1, 2)).to_json_obj()
+
+    def test_a_inf_hat_tie_for_exact_a(self):
+        # a_inf_hat exists only as a float, so an exact a near it is a tie too
+        hat = thresholds(1).a_inf_hat
+        r = dim_infinite_set(1, F(hat) + F(1, 10**14))
+        assert (r.regime, r.at_threshold) == ("UNCOUNTABLE_DIM_ZERO", True)
 
 
 class TestEnumeration:
