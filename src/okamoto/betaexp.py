@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PrecisionError, ResourceError
 from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact
 
@@ -371,6 +369,8 @@ def _suffix_automaton(N: int, alpha: list[int], n_states: int):
     longest current match has length L (the minimum of alpha over the border
     chain); delta[L, c] is the next match length.
     """
+    import numpy as np
+
     fail = [0] * (n_states + 1)
     k = 0
     for i in range(1, n_states):
@@ -403,6 +403,8 @@ def _pair_automaton(N: int, alpha: list[int], d: int):
     by at most one per digit, so the 2d digits of w.w read only rows below
     2d; the successors of row 2d, which may lie past the table, are never used.
     """
+    import numpy as np
+
     A = N + 1
     n_states = 2 * d + 1
     cap, delta = _suffix_automaton(N, alpha, n_states)
@@ -424,6 +426,8 @@ def _surviving_prefixes(step, dead: int, A: int, d: int, chunk: int):
     of all blocks are in lexicographic order.  A frontier whose children could
     exceed `chunk` rows is split and finished block by block, depth first.
     """
+    import numpy as np
+
     digits = np.arange(A)
     stack = [(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp))]
     while stack:
@@ -461,6 +465,8 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     groups of `chunk` consecutive indices that a full scan of the index range
     would form, so its float products see the same rows in the same order.
     """
+    import numpy as np
+
     A = N + 1
     step, dead = _pair_automaton(N, alpha, d)
     K = N / (beta_f - 1.0)

@@ -281,24 +281,28 @@ def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:
     if not (0 < Fraction(num, den) < 1):
         raise DomainError(f"{numerator}/{denominator} not in (0,1)")
     B = 2 * N + 1
+    # the preperiod L is the number of gcd steps that strip the factors den shares with B
+    L, q = 0, den
+    while L <= EXPANSION_DIGIT_CAP and (g := math.gcd(q, B)) > 1:
+        q, L = q // g, L + 1
     digits: list[int] = []
-    seen: dict[int, int] = {}
     r = num
-    while True:
-        if r == 0:
-            return DigitSeq(N, tuple(digits), (0,))
-        if r in seen:
-            k = seen[r]
-            return DigitSeq(N, tuple(digits[:k]), tuple(digits[k:]))
-        if len(digits) >= EXPANSION_DIGIT_CAP:
-            raise ResourceError(
-                f"the base-{B} expansion of {num}/{den} runs past the cap of "
-                f"{EXPANSION_DIGIT_CAP} digits"
-            )
-        seen[r] = len(digits)
-        r *= B
-        digits.append(r // den)
-        r %= den
+    for _ in range(min(L, EXPANSION_DIGIT_CAP)):
+        digit, r = divmod(r * B, den)
+        digits.append(digit)
+    if r == 0:
+        return DigitSeq(N, tuple(digits), (0,))
+    # the period is the first k > 0 with r_{L+k} = r_L, so only r_L is kept
+    r_L = r
+    while len(digits) < EXPANSION_DIGIT_CAP:
+        digit, r = divmod(r * B, den)
+        digits.append(digit)
+        if r == r_L:
+            return DigitSeq(N, tuple(digits[:L]), tuple(digits[L:]))
+    raise ResourceError(
+        f"the base-{B} expansion of {num}/{den} runs past the cap of "
+        f"{EXPANSION_DIGIT_CAP} digits"
+    )
 
 
 def digits_of(x: Rational | Fraction, N: int) -> DigitSeq:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import DomainError, GridPointError, PrecisionError, ResourceError
 from .numdigits import DigitSeq, Number, Params, digits_of, is_exact, make_params, odd_count_prefix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAPH_POINT_CAP = 10_000_000
 # 20 of eval_F's 50 digits survive at 1 - a = 1e-30; floats stop at 2^-53
@@ -160,6 +161,8 @@ class GraphSample:
 
 def sample_graph(p: Params, depth: int, max_points: int = GRAPH_POINT_CAP) -> GraphSample:
     """F at all grid points j/(2N+1)^depth, computed by level-wise subdivision."""
+    import numpy as np
+
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     B = 2 * p.N + 1

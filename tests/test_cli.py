@@ -226,14 +226,25 @@ class TestMalformedCalls:
         assert err.startswith("domain error") and "Traceback" not in err
 
 
+def child_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(okamoto.__file__)))
+
+
 def cli_process(argv, timeout=30):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(okamoto.__file__)))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "okamoto.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=child_env(),
     )
     return proc, time.perf_counter() - t0
+
+
+PEAK_RSS_CHILD = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 class TestResourceCaps:
@@ -260,6 +271,20 @@ class TestResourceCaps:
         assert "1000000" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 10
 
+    def test_long_division_stays_under_100_mb(self):
+        # only r_L is kept to find the period; a dict of every remainder
+        # peaked at 154 MB on this call.  A small interpreter starts the CLI
+        # process, because a child's ru_maxrss also counts the memory of the
+        # process it was spawned from.
+        argv = [sys.executable, "-m", "okamoto.cli", "eval", "--N", "1", "--a", "3/5", "--x", "1e-30"]
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kb = map(int, proc.stdout.split())
+        assert code == 4 and maxrss_kb < 100 * 1024
+
     def test_gamma_past_float_range_exits_4(self):
         # gamma = (3a)^even (3b)^odd passes 1.8e308 over about 1,150 digits at
         # the float a = 1/golden ratio, and over 800 even digits at a = 9/10
@@ -275,3 +300,71 @@ class TestResourceCaps:
         assert proc.returncode == 4 and "resource error" in proc.stderr
         assert "11993604040" in proc.stderr and "100000" in proc.stderr
         assert elapsed < 10
+
+
+IMPORT_PATH_CHILD = """
+import io, json, sys
+import okamoto, okamoto.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    runs.append([okamoto.cli.run(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def fresh_process_runs(argvs):
+    """(exit code, stdout, stderr) of each call, run in turn by one fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    return [tuple(r) for r in got["runs"]], got["numpy"]
+
+
+class TestImportPath:
+    """numpy is loaded only by the calls that build arrays."""
+
+    ARRAY_FREE = [
+        ["eval", "--N", "2", "--a", "41/100", "--x", "942/997"],
+        ["classify", "--N", "1", "--a", "538/1009", "--x", "199831/797160", "--probe-levels", "8"],
+        ["thresholds", "--N", "1..12"],
+        ["dim-d0", "--N", "4", "--a", "111/125"],
+        ["dim-d0", "--N", "1", "--a", "3/5", "--grid", "64"],
+        ["dim-dinf", "--N", "2", "--a", "449/1009"],
+        ["beta", "--op", "pi", "--N", "1", "--beta", "1919/1009", "--w", "(1 0 0 1 1 0 1)"],
+        ["beta", "--op", "quasi-greedy", "--N", "1", "--beta", "1919/1009", "--max-len", "32"],
+        ["beta", "--op", "univoque", "--N", "1", "--beta", "1919/1009", "--w", "(1 0 0 1 1 0 1)"],
+        ["beta", "--op", "count", "--N", "1", "--beta", "2", "--x", "2/7"],
+        ["beta", "--op", "tm", "--count", "26"],
+        ["beta", "--op", "gtm", "--N", "4", "--count", "26"],
+        ["enumerate-dinf", "--N", "1", "--a", "582/1009", "--max-prefix", "2", "--max-period", "3"],
+        ["asymptotics", "--N", "1,2,5,10,49,62,82,100"],
+    ]
+    MALFORMED = [
+        ["eval", "--N", "1", "--a", "kl:x", "--x", "1/3"],
+        ["thresholds", "--N", "a..b"],
+        ["eval", "--N", "1", "--a", "3/5", "--x", "1/3", "--tol", "nan"],
+        ["beta", "--op", "pi", "--N", "1", "--beta", "19/10"],
+        ["beta", "--op", "univoque", "--N", "1", "--beta", "19/10"],
+        ["beta", "--op", "count", "--N", "1", "--beta", "2"],
+    ]
+    ARRAYS = [
+        ["graph", "--N", "1", "--a", "22/25", "--depth", "4"],
+        ["beta", "--op", "entropy", "--N", "1", "--beta", "1947/1009", "--depth", "8"],
+        ["dim-dinf", "--N", "1", "--a", "526/1009", "--depth", "10"],
+    ]
+
+    def test_array_free_calls_never_load_numpy(self):
+        runs, numpy_loaded = fresh_process_runs(self.ARRAY_FREE + self.MALFORMED)
+        assert not numpy_loaded
+        assert runs == [call(argv) for argv in self.ARRAY_FREE + self.MALFORMED]
+        assert [code for code, _, _ in runs] == [0] * len(self.ARRAY_FREE) + [2, 2, 1, 2, 2, 2]
+
+    def test_array_calls_load_numpy_on_demand(self):
+        runs, numpy_loaded = fresh_process_runs(self.ARRAYS)
+        assert numpy_loaded
+        assert runs == [call(argv) for argv in self.ARRAYS]
+        assert all(code == 0 and out for code, out, _ in runs)

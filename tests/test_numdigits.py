@@ -159,6 +159,52 @@ class TestDigitsOfRational:
             digits_of_rational(1, 10**30, 1)
         assert len(digits_of_rational(1, 1009, 1).period) == 168
 
+    @staticmethod
+    def dict_long_division(num, den, N):
+        # reference: remember every remainder and stop at the first repeat
+        B, digits, seen, r = 2 * N + 1, [], {}, num
+        while r and r not in seen:
+            seen[r] = len(digits)
+            digit, r = divmod(r * B, den)
+            digits.append(digit)
+        if r == 0:
+            return tuple(digits), (0,)
+        return tuple(digits[:seen[r]]), tuple(digits[seen[r]:])
+
+    def test_matches_dict_long_division(self):
+        # denominators mix factors shared with 2N+1 (preperiods, terminating
+        # expansions) with coprime parts (periods)
+        rng = random.Random(20261018)
+        n_terminating = 0
+        for _ in range(3000):
+            N = rng.randrange(1, 6)
+            B = 2 * N + 1
+            den = B ** rng.randrange(0, 5) * rng.choice((1, 1, 2, 4, 5, 7, 11, 97, 1009))
+            den *= rng.choice((1, math.gcd(B, 9), math.gcd(B, 25), 3 * 5 * 7))
+            if den < 2:
+                den = B
+            num = rng.randrange(1, den)
+            g = math.gcd(num, den)
+            pre, per = self.dict_long_division(num // g, den // g, N)
+            n_terminating += per == (0,)
+            assert digits_of_rational(num, den, N) == DigitSeq(N, pre, per), (num, den, N)
+        assert n_terminating > 100
+
+    @pytest.mark.parametrize("num, den, N, n_digits", [
+        (1, 9 * 1009, 1, 2 + 168),  # preperiod 2, period 168
+        (7, 3 * 1009, 1, 1 + 168),
+        (1, 3**5, 1, 5),  # terminating: its preperiod alone counts
+        (1, 2, 1, 1),  # period (1)
+        (2, 5**3 * 7, 2, 3 + 6),
+    ])
+    def test_cap_boundary(self, monkeypatch, num, den, N, n_digits):
+        monkeypatch.setattr(numdigits, "EXPANSION_DIGIT_CAP", n_digits)
+        d = digits_of_rational(num, den, N)
+        assert d.value() == Fraction(num, den)
+        monkeypatch.setattr(numdigits, "EXPANSION_DIGIT_CAP", n_digits - 1)
+        with pytest.raises(ResourceError, match=f"expansion of {num}/{den} runs past the cap of {n_digits - 1} digits"):
+            digits_of_rational(num, den, N)
+
     def test_a_third_of_a_million_digits_is_under_the_cap(self):
         d = digits_of_rational(1, 1000003, 1)
         assert len(d.preperiod) + len(d.period) == 333334 < numdigits.EXPANSION_DIGIT_CAP
