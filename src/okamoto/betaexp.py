@@ -9,7 +9,8 @@ points with a unique expansion.
 Numeric policy: strict comparisons follow numdigits.compare.  A beta given
 as an int or Fraction is decided exactly; a beta given as a float is taken at
 its exact value, and a comparison within numdigits.TIE_TOL of a boundary
-raises PrecisionError instead of guessing.
+raises PrecisionError instead of guessing.  The expansion of 1 is computed
+at beta's exact value too; only an integer beta gives a periodic one.
 
 All operations are pure.  The word counting in univoque_entropy_bounds grows
 admissible prefixes one digit at a time, so its cost follows the surviving
@@ -27,6 +28,7 @@ from .errors import ConvergenceError, DomainError, PrecisionError, ResourceError
 from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact
 
 DEFAULT_FRONTIER_CAP = 50_000_000
+QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 51 digits
 
 
 def pi_beta(w: OmegaSeq, beta) -> Number:
@@ -70,9 +72,9 @@ def complement(w: OmegaSeq) -> OmegaSeq:
 class QuasiGreedyResult:
     """Expansion of 1: the largest digit sequence not ending in all zeros.
 
-    When a period is detected (and certified) within the length budget, `seq`
-    holds the exact eventually periodic sequence and `truncated` is False.
-    Otherwise `digits` is a plain prefix and `truncated` is True.
+    Only an integer beta has a periodic expansion, the period (beta - 1);
+    then `seq` holds it and `truncated` is False.  For every other beta
+    `digits` is a plain prefix, `seq` is None and `truncated` is True.
     """
 
     N: int
@@ -97,53 +99,35 @@ def quasi_greedy_one(N: int, beta, max_len: int) -> QuasiGreedyResult:
     """Digits of the quasi-greedy expansion of 1 in base beta over {0,...,N}.
 
     Each digit is the largest that leaves a strictly positive remainder:
-    d_k = min(N, ceil(beta * r) - 1), r <- beta*r - d_k, starting from r = 1.
-    Exact rational beta gives exact period detection; for float beta a
-    detected period is only returned once it passes the closed-form check
-    |pi_beta(candidate) - 1| <= 1e-9.
+    d_k = min(N, ceil(beta * r) - 1), r <- beta*r - d_k, starting from r = 1,
+    in exact arithmetic at beta's exact value.  For beta = p/q with q > 1 the
+    k-th remainder has denominator q^k, so r returns to 1 only for an integer
+    beta, whose expansion is the period (beta - 1); any other beta gives a
+    truncated prefix of max_len digits.  For a float beta, beta*r within
+    numdigits.TIE_TOL of a digit boundary 1..N raises PrecisionError.
+    max_len above QUASI_GREEDY_DIGIT_CAP raises ResourceError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    if max_len > QUASI_GREEDY_DIGIT_CAP:
+        raise ResourceError(
+            f"max_len = {max_len} digits exceed the cap of {QUASI_GREEDY_DIGIT_CAP}"
+        )
     if not (1 < beta <= N + 1):
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
+    inexact = not is_exact(beta)
+    bq = Fraction(beta)
+    r = Fraction(1)
     digits: list[int] = []
-    if is_exact(beta):
-        bq = Fraction(beta)
-        r = Fraction(1)
-        seen: dict[Fraction, int] = {}
-        for i in range(max_len):
-            if r in seen:
-                j = seen[r]
-                seq = OmegaSeq(N, tuple(digits[:j]), tuple(digits[j:i]))
-                return QuasiGreedyResult(N, tuple(digits[:i]), seq, False)
-            seen[r] = i
-            br = bq * r
-            d = min(N, math.ceil(br) - 1)
-            digits.append(d)
-            r = br - d
-        return QuasiGreedyResult(N, tuple(digits), None, True)
-    b = float(beta)
-    rems: list[float] = []
-    r = 1.0
-    for i in range(max_len):
-        for j in range(i):
-            if abs(rems[j] - r) <= 1e-10:
-                cand = OmegaSeq(N, tuple(digits[:j]), tuple(digits[j:i]))
-                if cand.period != (0,) and abs(float(pi_beta(cand, b)) - 1.0) <= 1e-9:
-                    return QuasiGreedyResult(N, tuple(digits[:i]), cand, False)
-        rems.append(r)
-        br = b * r
-        # a product within roundoff of an integer is treated as that integer,
-        # matching the exact rule ceil(k) - 1 = k - 1; the certification above
-        # still vets any period built from snapped digits
-        nearest = round(br)
-        if abs(br - nearest) <= 1e-9 and nearest >= 1:
-            br = float(nearest)
+    for _ in range(max_len):
+        if digits and r == 1:
+            return QuasiGreedyResult(N, tuple(digits), OmegaSeq(N, (), tuple(digits)), False)
+        br = bq * r
+        if inexact and 1 <= (k := round(br)) <= N:
+            compare(br, k, True, what="beta * remainder in the expansion of 1")
         d = min(N, math.ceil(br) - 1)
-        if d < 0:
-            d = 0
         digits.append(d)
         r = br - d
     return QuasiGreedyResult(N, tuple(digits), None, True)
@@ -525,12 +509,7 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     return n_upper, (n_lower if want_lower else None)
 
 
-def univoque_entropy_bounds(
-    N: int,
-    beta,
-    depth: int = 20,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-) -> EntropyBounds:
+def univoque_entropy_bounds(N: int, beta, depth: int = 20) -> EntropyBounds:
     """Bounds on the dimension of the univoque set from period-word counts.
 
     upper: log(U_d)/(d log beta) where U_d counts length-d words whose
@@ -549,13 +528,14 @@ def univoque_entropy_bounds(
         raise DomainError(f"beta must lie in (1, {N + 1}), got {beta}")
     if depth < 2:
         raise DomainError("depth must be >= 2")
-    if (N + 1) ** depth > frontier_cap:
+    if (N + 1) ** depth > DEFAULT_FRONTIER_CAP:
         raise ResourceError(
-            f"(N+1)^depth = {(N + 1) ** depth} words exceed the cap of {frontier_cap}"
+            f"(N+1)^depth = {(N + 1) ** depth} words exceed the cap of {DEFAULT_FRONTIER_CAP}"
         )
     beta_f = float(beta)
     log_b = math.log(beta_f)
-    alpha_len = max(64, 4 * depth)
+    # the automata of every depth in the chain read alpha[0..2*depth] at most
+    alpha_len = 2 * depth + 1
     alpha = quasi_greedy_one(N, beta, alpha_len).digits_extended(alpha_len)
     chain = []
     dd = depth

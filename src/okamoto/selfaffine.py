@@ -159,7 +159,7 @@ class GraphSample:
         return [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]
 
 
-def sample_graph(p: Params, depth: int, max_points: int = GRAPH_POINT_CAP) -> GraphSample:
+def sample_graph(p: Params, depth: int) -> GraphSample:
     """F at all grid points j/(2N+1)^depth, computed by level-wise subdivision."""
     import numpy as np
 
@@ -167,9 +167,9 @@ def sample_graph(p: Params, depth: int, max_points: int = GRAPH_POINT_CAP) -> Gr
         raise DomainError("depth must be nonnegative")
     B = 2 * p.N + 1
     npts = B**depth + 1
-    if npts > max_points:
+    if npts > GRAPH_POINT_CAP:
         raise ResourceError(
-            f"(2N+1)^depth = {npts - 1} grid cells exceed the cap of {max_points}"
+            f"(2N+1)^depth = {npts - 1} grid cells exceed the cap of {GRAPH_POINT_CAP}"
         )
     ys_pat = [float(v) for v in generator_pattern(p).ys]
     vals = np.array([0.0, 1.0])

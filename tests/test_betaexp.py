@@ -105,10 +105,14 @@ class TestShiftComplement:
 
 class TestQuasiGreedy:
     def test_golden_ratio_alternates(self):
-        r = quasi_greedy_one(1, PHI, 64)
-        assert not r.truncated
-        assert r.seq == OmegaSeq(1, (), (1, 0))
-        assert abs(float(pi_beta(r.seq, PHI)) - 1.0) < 1e-12
+        # the true golden ratio gives (1 0); the floats of gr:N for odd N lie
+        # within roundoff of it, where beta * r ties a digit boundary
+        for N in (1, 3, 5):
+            with pytest.raises(PrecisionError):
+                quasi_greedy_one(N, generalized_golden_ratio(N), 64)
+        r = quasi_greedy_one(1, Fraction(PHI), 64)
+        assert r.truncated and r.seq is None and len(r.digits) == 64
+        assert r.digits[:3] == (1, 1, 0)
 
     def test_integer_base_boundary(self):
         r = quasi_greedy_one(1, 2, 32)
@@ -132,22 +136,51 @@ class TestQuasiGreedy:
         assert r.digits_extended(16)[12:] == [1, 1, 1, 1]
 
     def test_parry_admissibility_of_periodic_output(self):
-        # every shift of the expansion is lexicographically at most the whole
-        for beta in (PHI, 2, Fraction(3, 2), Fraction(9, 5), Fraction(5, 2)):
-            N = 2 if beta == Fraction(5, 2) else 1
-            r = quasi_greedy_one(N, beta, 400)
-            if r.seq is None:
-                continue
-            span = len(r.seq.preperiod) + len(r.seq.period)
-            ref = r.seq.digits(3 * span)
-            for n in range(1, span + 1):
-                assert shift(r.seq, n).digits(3 * span) <= ref
+        # every shift of the expansion is lexicographically at most the whole,
+        # on a truncated prefix as on a periodic expansion
+        for N, beta in ((1, 2), (1, Fraction(3, 2)), (1, Fraction(9, 5)), (2, Fraction(5, 2)),
+                        (2, 3), (2, Fraction(7, 3)), (3, Fraction(13, 4)), (1, 1.9)):
+            digits = tuple(quasi_greedy_one(N, beta, 400).digits_extended(400))
+            for n in range(1, 400):
+                assert digits[n:] <= digits[:400 - n], (N, beta, n)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             quasi_greedy_one(1, 2.5, 16)
         with pytest.raises(DomainError):
             quasi_greedy_one(1, 1.0, 16)
+
+
+class TestExpansionOfOneAtExactValue:
+    """A float beta is expanded at its exact value, like every other input."""
+
+    def test_float_digits_equal_those_of_its_exact_value(self):
+        rng = random.Random(20111)
+        for _ in range(300):
+            N = rng.randrange(1, 4)
+            beta = 1 + N * (1 - rng.random())  # in (1, N+1]
+            r = quasi_greedy_one(N, beta, 128)
+            assert r == quasi_greedy_one(N, Fraction(beta), 128), (N, beta)
+
+    def test_only_an_integer_base_has_a_period(self):
+        rng = random.Random(20112)
+        for _ in range(300):
+            N = rng.randrange(1, 5)
+            q = rng.randrange(2, 50)
+            beta = Fraction(rng.randrange(q + 1, (N + 1) * q + 1), q)
+            if beta.denominator == 1:
+                continue
+            r = quasi_greedy_one(N, beta, 100)
+            assert r.truncated and r.seq is None and len(r.digits) == 100
+        for beta in (2, Fraction(2), 2.0):
+            r = quasi_greedy_one(1, beta, 64)
+            assert (r.digits, r.seq, r.truncated) == ((1,), OmegaSeq(1, (), (1,)), False)
+
+    def test_float_on_a_digit_boundary_raises(self):
+        # beta * 1 = 2 is the boundary between digits 1 and 2 when N = 2
+        with pytest.raises(PrecisionError):
+            quasi_greedy_one(2, 2.0, 64)
+        assert quasi_greedy_one(2, 2, 64).seq == OmegaSeq(2, (), (1,))
 
 
 class TestUnivoque:

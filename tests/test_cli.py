@@ -107,10 +107,21 @@ class TestBetaVerb:
         assert obj["count"] == 1 and obj["at_least"] is False
 
     def test_quasi_greedy(self):
+        # the float golden ratio is expanded at its exact value, where
+        # beta * r lands within roundoff of the digit boundary 1
+        code, out, err = call(["beta", "--op", "quasi-greedy", "--N", "1",
+                               "--beta", "gr:1", "--max-len", "64"])
+        assert (code, out) == (3, "") and err.startswith("precision error")
         code, out, _ = call(["beta", "--op", "quasi-greedy", "--N", "1",
-                             "--beta", "gr:1", "--max-len", "64"])
+                             "--beta", "2", "--max-len", "64"])
         obj = json.loads(out)
-        assert obj["seq"] == "(1 0)" and obj["truncated"] is False
+        assert obj["seq"] == "(1)" and obj["truncated"] is False
+
+    @pytest.mark.parametrize("N,depth", [(1, 8), (3, 6), (5, 5)])
+    def test_entropy_at_float_golden_ratio_exits_3(self, N, depth):
+        code, out, err = call(["beta", "--op", "entropy", "--N", str(N),
+                               "--beta", f"gr:{N}", "--depth", str(depth)])
+        assert (code, out) == (3, "") and err.startswith("precision error")
 
     def test_entropy(self):
         code, out, _ = call(["beta", "--op", "entropy", "--N", "1", "--beta", "1.5",
@@ -292,6 +303,14 @@ class TestResourceCaps:
             x = okamoto.DigitSeq(1, (), period).value()
             code, out, err = call(["classify", "--N", "1", "--a", a, "--x", str(x)])
             assert (code, out) == (4, "") and "gamma" in err, a
+
+    def test_quasi_greedy_digit_cap(self):
+        argv = ["beta", "--op", "quasi-greedy", "--N", "1", "--beta", "19/10", "--max-len"]
+        code, out, _ = call(argv + ["4096"])
+        assert code == 0 and len(json.loads(out)["digits"]) == 4096
+        code, out, err = call(argv + ["4097"])
+        assert (code, out) == (4, "") and err.startswith("resource error")
+        assert "4097" in err and "4096" in err and "Traceback" not in err
 
     def test_large_enumeration_exits_4(self):
         proc, elapsed = cli_process(
