@@ -11,8 +11,6 @@ undefined, and the verdict is decidable in closed form:
   and their complement) stay strictly positive over every residue class of
   the period; the sign is then + for an even total number of odd digits and
   - for an odd total.
-
-Batch classification parallelizes over inputs with no shared state.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ pinned down by bisection against their defining equations (monotonicity makes
 plain bisection robust; 200 iterations cap).  The dimension reports place a
 among the thresholds by numdigits.compare, the package's one tie rule.
 
-Grid evaluations parallelize pointwise; everything here is pure.
+Everything here is pure.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from . import betaexp
 from .betaexp import EntropyBounds, bisect_root, komornik_loreti, generalized_golden_ratio
 from .derivative import DerivativeTag, classify_derivative
 from .errors import DomainError, ResourceError
-from .numdigits import DigitSeq, Number, OmegaSeq, compare, is_exact, make_params
+from .numdigits import DigitSeq, Number, OmegaSeq, compare, is_exact, make_params, odd_total
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
-ENUMERATION_WORK_CAP = 100_000  # about 20 s at 0.2 ms per classification
+# a step builds one candidate point: 20-180 us each (2-CPU x86, Python 3.11),
+# longest for 14-digit words, so at most about 20 s at the cap
+ENUMERATION_WORK_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -288,10 +290,20 @@ def enumerate_infinite_points(
     omega runs over primitive periodic sequences with period up to
     max_period that pass is_univoque in base 1/a; prefixes run over all
     base-(2N+1) words up to max_prefix_len.  Each emitted point carries its
-    (prefix, omega) certificate and is independently classified; points whose
-    verdict is not an infinite derivative land in `rejected`.  The work is
-    estimated up front as the candidate words plus the prefixes times the
-    candidate words; above ENUMERATION_WORK_CAP it raises ResourceError.
+    (prefix, omega) certificate; points whose verdict is not an infinite
+    derivative land in `rejected`.
+
+    Each thing is decided once.  is_univoque reads only the extremes of the
+    shift values, one set for every rotation of a periodic word, so it runs
+    once per rotation class.  classify_derivative of an all-even period reads
+    only the canonical period and the parity of the odd-digit total M
+    (canonicalising moves only even digits, so M is the prefix's odd count),
+    so its tag is kept under (period, M % 2).  Each period is classified at
+    its first candidate, so an error is raised exactly where classifying
+    every point would raise it, and a float a's margins are summed from that
+    period's own tuple.  The work is estimated up front as the candidate
+    words plus the prefixes times the candidate words, one step per point
+    built; above ENUMERATION_WORK_CAP it raises ResourceError.
     """
     if max_prefix_len < 0 or max_period < 1:
         raise DomainError("max_prefix_len must be >= 0 and max_period >= 1")
@@ -309,20 +321,29 @@ def enumerate_infinite_points(
     work = words + prefixes * words
     if work > ENUMERATION_WORK_CAP:
         raise ResourceError(
-            f"enumeration would test {words} candidate words and classify up to "
-            f"{prefixes} prefixes x {words} words ({work} steps in all), over the "
-            f"cap of {ENUMERATION_WORK_CAP}"
+            f"enumeration would test {words} candidate words and build up to "
+            f"{prefixes} x {words} points, one per prefix and word ({work} steps "
+            f"in all), over the cap of {ENUMERATION_WORK_CAP}"
         )
     beta = 1 / Fraction(a) if is_exact(a) else 1.0 / float(a)
+    univoque: dict[tuple[int, ...], bool] = {}  # by least rotation
     admissible: list[OmegaSeq] = []
     for plen in range(1, max_period + 1):
         for word in product(range(N + 1), repeat=plen):
             w = OmegaSeq(N, (), word)  # canonical: a non-primitive word shrinks
-            if w.period == word and betaexp.is_univoque(w, N, beta):
+            if w.period != word:
+                continue
+            # words come in lexicographic order, so a class is first met at its least rotation
+            least = min(word[k:] + word[:k] for k in range(plen))
+            if least not in univoque:
+                univoque[least] = betaexp.is_univoque(w, N, beta)
+            if univoque[least]:
                 admissible.append(w)
     B = 2 * N + 1
+    # the all-zero period, the one that classify_derivative rejects by its
+    # preperiod (x = 0), never occurs: a constant word is not univoque
+    tags: dict[tuple[tuple[int, ...], int], DerivativeTag] = {}
     seen: dict[Fraction, PointCertificate] = {}
-    order: list[Fraction] = []
     for plen in range(max_prefix_len + 1):
         for v in product(range(B), repeat=plen):
             for w in admissible:
@@ -330,13 +351,13 @@ def enumerate_infinite_points(
                 x = dseq.value()
                 if x in seen:
                     continue
-                verdict = classify_derivative(p, dseq)
-                cert = PointCertificate(x=x, prefix=v, omega=w, tag=verdict.tag)
-                seen[x] = cert
-                order.append(x)
+                key = (dseq.period, odd_total(dseq) % 2)
+                if key not in tags:
+                    tags[key] = classify_derivative(p, dseq).tag
+                seen[x] = PointCertificate(x=x, prefix=v, omega=w, tag=tags[key])
     points = []
     rejected = []
-    for x in sorted(order):
+    for x in sorted(seen):
         cert = seen[x]
         if cert.tag in (DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY):
             points.append(cert)

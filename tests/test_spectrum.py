@@ -1,6 +1,8 @@
+import io
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,11 @@ from okamoto import (
     threshold_asymptotics,
     thresholds,
 )
+from okamoto import betaexp, spectrum
+from okamoto.betaexp import is_univoque
+from okamoto.cli import run
+from okamoto.derivative import classify_derivative
+from okamoto.numdigits import DigitSeq, OmegaSeq, make_params
 from okamoto.spectrum import a0_tilde, log_g
 
 F = Fraction
@@ -338,6 +345,86 @@ class TestEnumeration:
         # the largest inputs in use stay under the cap
         assert enumerate_infinite_points(2, F(7, 20), 2, 4).points
         assert enumerate_infinite_points(1, F(13, 25), 2, 6).points
+
+    @staticmethod
+    def admissible(N, a, max_period):
+        """Primitive words up to max_period that pass is_univoque, one test per word."""
+        beta = 1 / F(a) if isinstance(a, F) else 1.0 / a
+        words = (
+            (plen, OmegaSeq(N, (), word))
+            for plen in range(1, max_period + 1)
+            for word in product(range(N + 1), repeat=plen)
+        )
+        # a non-primitive word shrinks to its primitive root
+        return [w for plen, w in words if len(w.period) == plen and is_univoque(w, N, beta)]
+
+    def brute_force(self, N, a, max_prefix_len, max_period):
+        """(x, prefix, period, tag) rows from one classify_derivative per (prefix, word) pair."""
+        admissible = self.admissible(N, a, max_period)
+        p = make_params(N, a)
+        first: dict = {}
+        for plen in range(max_prefix_len + 1):
+            for v in product(range(2 * N + 1), repeat=plen):
+                for w in admissible:
+                    d = DigitSeq(N, v, tuple(2 * t for t in w.period))
+                    x = d.value()
+                    if x not in first:
+                        first[x] = (v, w.period, classify_derivative(p, d).tag)
+        infinite = (DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY)
+        rows = [(x, *first[x]) for x in sorted(first)]
+        return [r for r in rows if r[3] in infinite], [r for r in rows if r[3] not in infinite]
+
+    @pytest.mark.parametrize(
+        "N, a, max_prefix_len, max_period",
+        [
+            (1, F(29, 50), 2, 4),
+            (1, 0.58, 2, 4),
+            (1, F(13, 25), 1, 5),
+            (2, F(7, 20), 2, 3),
+            (2, 0.35, 2, 3),
+            (3, F(3, 10), 1, 3),
+            (3, 0.3, 1, 3),
+        ],
+    )
+    def test_matches_one_classification_per_pair(self, N, a, max_prefix_len, max_period):
+        res = enumerate_infinite_points(N, a, max_prefix_len, max_period)
+        points, rejected = self.brute_force(N, a, max_prefix_len, max_period)
+        for certs, rows in ((res.points, points), (res.rejected, rejected)):
+            assert [(c.x, c.prefix, c.omega.period, c.tag) for c in certs] == rows
+        assert points
+        # both signs occur, so the prefix parity reaches the verdict
+        assert {r[3] for r in points} == {DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY}
+
+    def test_one_verdict_per_period_and_parity(self, monkeypatch):
+        N = 2
+        admissible = self.admissible(N, F(7, 20), 4)
+        counts = {"classify": 0, "univoque": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(spectrum, "classify_derivative", counted("classify", classify_derivative))
+        monkeypatch.setattr(betaexp, "is_univoque", counted("univoque", is_univoque))
+        enumerate_infinite_points(N, F(7, 20), 2, 4)
+        assert counts["classify"] <= 2 * len(admissible)
+        classes = {
+            min(word[k:] + word[:k] for k in range(plen))
+            for plen in range(1, 5)
+            for word in product(range(N + 1), repeat=plen)
+            if len(OmegaSeq(N, (), word).period) == plen
+        }
+        assert counts["univoque"] == len(classes)
+
+    def test_precision_error_at_float_golden_ratio(self):
+        with pytest.raises(PrecisionError):
+            enumerate_infinite_points(1, (math.sqrt(5) - 1) / 2, 1, 3)
+        argv = ["enumerate-dinf", "--N", "1", "--a", "gr:1", "--max-prefix", "1", "--max-period", "3"]
+        err = io.StringIO()
+        assert run(argv, stdout=io.StringIO(), stderr=err) == 3
+        assert "precision error" in err.getvalue()
 
 
 class TestAsymptotics:
