@@ -186,8 +186,11 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
 
     A branch with digit d in {0,...,N} survives when 0 <= beta*t - d <=
     N/(beta-1).  Branches never die, so once the count reaches `cap` the
-    result AT_LEAST(cap) is sound for every larger depth.  Exact rational
-    arithmetic throughout (a float beta is used via its exact binary value).
+    result AT_LEAST(cap) is sound for every larger depth.  Exact arithmetic
+    throughout (a float beta is used via its exact binary value): with beta =
+    b/c, the branches after k levels are integers n over the one denominator
+    den = q c^k, q that of x, so a step is u = b n - d c den over c den, and
+    it survives when 0 <= u and u (b - c) <= N c (c den).
     """
     if cap < 1 or depth < 1:
         raise DomainError("cap and depth must be >= 1")
@@ -198,14 +201,19 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
     xq = Fraction(x)
     if not (0 <= xq <= K):
         raise DomainError(f"x must lie in [0, N/(beta-1)] = [0, {K}], got {x}")
-    frontier = [xq]
+    b, c = bq.as_integer_ratio()
+    frontier, den = [xq.numerator], xq.denominator
     for _ in range(depth):
-        nxt: list[Fraction] = []
-        for t in frontier:
-            bt = bq * t
+        den *= c
+        top = N * c * den  # u (b - c) <= top, that is u / den <= K
+        nxt: list[int] = []
+        for n in frontier:
+            bn = b * n
             for d in range(N + 1):
-                u = bt - d
-                if 0 <= u <= K:
+                u = bn - d * den
+                if u < 0:
+                    break  # u falls as d grows
+                if u * (b - c) <= top:
                     nxt.append(u)
                     if len(nxt) >= cap:
                         return ExpansionCount(cap, True)

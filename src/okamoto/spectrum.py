@@ -6,8 +6,12 @@ empty; below a_inf_hat the infinite-derivative set has positive dimension,
 above a_inf_star it is empty, with a countable regime in between.  Closed
 forms exist for a_min, a0_star and a_inf_star; a0_tilde and a_inf_hat are
 pinned down by bisection against their defining equations (monotonicity makes
-plain bisection robust; 200 iterations cap).  The dimension reports place a
-among the thresholds by numdigits.compare, the package's one tie rule.
+plain bisection robust; 200 iterations cap).
+
+The dimension reports decide an int or Fraction a exactly against all five
+thresholds: the rational ones by comparison, the others by the sign of their
+increasing defining function at a.  A float a meets numdigits.compare, the
+package's one tie rule, against the float thresholds.
 
 Everything here is pure.
 """
@@ -18,10 +22,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import betaexp
-from .betaexp import EntropyBounds, bisect_root, komornik_loreti, generalized_golden_ratio
+from .betaexp import (
+    EntropyBounds,
+    bisect_root,
+    generalized_golden_ratio,
+    generalized_tm_prefix,
+    komornik_loreti,
+)
 from .derivative import DerivativeTag, classify_derivative
 from .errors import DomainError, ResourceError
 from .numdigits import DigitSeq, Number, OmegaSeq, compare, is_exact, make_params, odd_total
@@ -30,6 +40,10 @@ ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
 # a step builds one candidate point: 20-180 us each (2-CPU x86, Python 3.11),
 # longest for 14-digit words, so at most about 20 s at the cap
 ENUMERATION_WORK_CAP = 100_000
+# each doubling of the series' digits squares the resolution of a_inf_hat's
+# sign: 4096 digits resolve offsets down to about 1e-1000 (N = 1)
+A_INF_HAT_DIGIT_CAP = 4096
+FLOAT_SIGN_BAND = 1e-9  # a float defining function this far from 0 decides its sign
 
 
 @dataclass(frozen=True)
@@ -85,19 +99,27 @@ def a0_tilde(N: int) -> float:
     return bisect_root(lambda a: log_g(N, a), lo, 1.0)
 
 
+def a0_star(N: int) -> Fraction:
+    return Fraction(3 * N + 1, (N + 1) * (2 * N + 1))
+
+
+def a_inf_star(N: int) -> Number:
+    """1/G for the generalized golden ratio G: exact for even N, a float for odd N."""
+    G = generalized_golden_ratio(N)
+    return Fraction(1, G) if isinstance(G, int) else 1.0 / G
+
+
 def thresholds(N: int) -> Thresholds:
     """All five thresholds for one N; closed forms where they exist."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    G = generalized_golden_ratio(N)
-    a_inf_star: Number = Fraction(1, G) if isinstance(G, int) else 1.0 / G
     return Thresholds(
         N=N,
         a_min=Fraction(1, N + 1),
         a0_tilde=a0_tilde(N),
-        a0_star=Fraction(3 * N + 1, (N + 1) * (2 * N + 1)),
+        a0_star=a0_star(N),
         a_inf_hat=1.0 / komornik_loreti(N),
-        a_inf_star=a_inf_star,
+        a_inf_star=a_inf_star(N),
     )
 
 
@@ -193,13 +215,97 @@ class DimensionReport:
         return obj
 
 
-def _regime_index(a: Number, t: Thresholds, bounds: tuple) -> tuple[int, bool]:
-    """How many ascending bounds a reaches (a tie reaches one), and whether it ties the last."""
-    if (compare(a, t.a_min, what="a"), compare(a, 1, what="a")) != (1, -1):
-        raise DomainError(f"a must lie in (1/{t.N + 1}, 1), got {a}")
-    orders = [compare(a, bound) for bound in bounds]
-    k = sum(order != -1 for order in orders)
-    return k, k > 0 and orders[k - 1] is None
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _a0_tilde_order(N: int, a: Number) -> int | None:
+    """Order of a against a0_tilde; an exact a by the sign of P_N(a).
+
+    P_N(p/q) = (2N+1)^(2N+1) p^(N+1) ((N+1)p - q)^N - N^N q^(2N+1) has the
+    sign of log_g.  First log_g is evaluated at float(a): (N+1)^2 / ((N+1)a - 1)
+    is about its slope, so the band below is about FLOAT_SIGN_BAND in a, and
+    the float evaluation errs by a few hundred ulps of that scale at most.
+    """
+    if not is_exact(a):
+        return compare(a, a0_tilde(N))
+    af = float(a)
+    excess = (N + 1) * af - 1
+    if excess > 0:
+        v = log_g(N, af)
+        if abs(v) > FLOAT_SIGN_BAND * (N + 1) ** 2 / excess:
+            return _sign(v)
+    p, q = Fraction(a).as_integer_ratio()
+    B = 2 * N + 1
+    return _sign(B**B * p ** (N + 1) * ((N + 1) * p - q) ** N - N**N * q**B)
+
+
+def _a_inf_hat_order(N: int, a: Number) -> int | None:
+    """Order of a against a_inf_hat; an exact a by the sign of sum(tau_i a^i) - 1.
+
+    tau is generalized_tm_prefix, so the series is pi_beta(tau) - 1 at beta =
+    1/a, increasing in a.  Its sum S_k over k digits is bracketed by [S_k,
+    S_k + D a^(k+1)/(1-a)], D the largest digit, and k doubles until the
+    bracket excludes 1.  A float sum of 64 digits decides first outside
+    FLOAT_SIGN_BAND.  Callers ask only below a_inf_star <= 0.62, where 64
+    digits leave a tail far inside the band.  Past A_INF_HAT_DIGIT_CAP
+    digits it raises ResourceError.
+    """
+    if not is_exact(a):
+        return compare(a, 1.0 / komornik_loreti(N))
+    top = (N + 1) // 2 + (N % 2 == 0)
+    af = float(a)
+    s = 0.0
+    for d in reversed(generalized_tm_prefix(N, 64)):
+        s = (s + d) * af
+    if s - 1 > FLOAT_SIGN_BAND:
+        return 1
+    if s + top * af**65 / (1 - af) - 1 < -FLOAT_SIGN_BAND:
+        return -1
+    p, q = Fraction(a).as_integer_ratio()
+    acc, pk, qk = 0, 1, 1  # S_k = acc / q^k, pk = p^k, qk = q^k
+    k, n = 0, 64
+    while n <= A_INF_HAT_DIGIT_CAP:
+        for d in generalized_tm_prefix(N, n)[k:]:
+            pk *= p
+            qk *= q
+            acc = acc * q + d * pk
+        k, n = n, 2 * n
+        if acc > qk:
+            return 1
+        if acc * (q - p) + top * pk * p < qk * (q - p):  # S_k + tail bound < 1
+            return -1
+    raise ResourceError(
+        f"deciding a = {a} against a_inf_hat for N={N} needs more than "
+        f"{A_INF_HAT_DIGIT_CAP} digits of its series (the cap)"
+    )
+
+
+def _a_inf_star_order(N: int, a: Number) -> int | None:
+    """Order of a against a_inf_star; an exact a and odd N = 2m-1 by the sign of m a^2 + m a - 1."""
+    if N % 2 and is_exact(a):
+        m = (N + 1) // 2
+        p, q = Fraction(a).as_integer_ratio()
+        return _sign(m * p * (p + q) - q * q)
+    return compare(a, a_inf_star(N))
+
+
+def _regime_index(
+    N: int, a: Number, orders: Sequence[Callable[[int, Number], int | None]]
+) -> tuple[int, bool]:
+    """How many ascending thresholds a reaches (a tie reaches one), and whether it ties the last.
+
+    orders[i](N, a) is a's order against the i-th threshold.  They are asked
+    from the top down, so a threshold is decided only when a lies below
+    every higher one.
+    """
+    if (compare(a, Fraction(1, N + 1), what="a"), compare(a, 1, what="a")) != (1, -1):
+        raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
+    for k in range(len(orders), 0, -1):
+        order = orders[k - 1](N, a)
+        if order != -1:
+            return k, order is None
+    return 0, False
 
 
 def dim_zero_set(N: int, a: Number) -> DimensionReport:
@@ -208,11 +314,11 @@ def dim_zero_set(N: int, a: Number) -> DimensionReport:
     EMPTY (value 0) from a0_star on, including the endpoint;
     NULL_UNCOUNTABLE with value h(phi(a)) on [a0_tilde, a0_star); below
     a0_tilde the set has full measure and the reported value is the dimension
-    of its complement.  A tie with a threshold (numdigits.compare) gets the
-    regime at that threshold, flagged at_threshold.
+    of its complement.  An exact a is placed exactly; a float a that ties a
+    threshold (numdigits.compare) gets the regime at that threshold, flagged
+    at_threshold.
     """
-    t = thresholds(N)
-    k, tie = _regime_index(a, t, (t.a0_tilde, t.a0_star))
+    k, tie = _regime_index(N, a, (_a0_tilde_order, lambda N, a: compare(a, a0_star(N))))
     regime = ("FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY")[k]
     value = frequency_dimension(N, critical_frequency(N, a)) if k < 2 else 0.0
     note = "set has full measure; value is the dimension of its complement" if k == 0 else None
@@ -225,11 +331,11 @@ def dim_infinite_set(N: int, a: Number, depth: int = 20) -> DimensionReport:
     EMPTY from a_inf_star on; COUNTABLE_RATIONAL strictly between a_inf_hat
     and a_inf_star; UNCOUNTABLE_DIM_ZERO at the computed a_inf_hat (neighbors
     listed); below that, bounds log(1/a)/log(2N+1) times the univoque-set
-    entropy bounds at the given depth.  A tie with a threshold
-    (numdigits.compare) gets the regime at it, flagged at_threshold.
+    entropy bounds at the given depth.  An exact a is placed exactly; a float
+    a that ties a threshold (numdigits.compare) gets the regime at it, flagged
+    at_threshold.
     """
-    t = thresholds(N)
-    k, tie = _regime_index(a, t, (t.a_inf_hat, t.a_inf_star))
+    k, tie = _regime_index(N, a, (_a_inf_hat_order, _a_inf_star_order))
     af = float(a)
     if k == 1 and tie:
         note = "at the countable/positive-dimension threshold; "
@@ -271,11 +377,14 @@ class PointCertificate:
 
 @dataclass(frozen=True)
 class InfiniteSetEnumeration:
-    """Points built as prefix + doubled univoque sequence, cross-validated.
+    """Points built as prefix + doubled univoque sequence, with their verdicts.
 
-    Candidates whose classification is not an infinite derivative are kept in
-    `rejected` rather than silently dropped: for exceptional parameter values
-    the construction can overshoot the true set.
+    `rejected` would hold candidates whose verdict is not an infinite
+    derivative, and it is always empty.  For an all-even period 2w the two
+    tail margins are 1 - pi_beta(shift^n w) and pi_beta(shift^n w) - (K - 1),
+    K = N/(beta - 1): exactly is_univoque's two conditions.  So every
+    admissible w passes, and the prefix's odd-digit parity sets only the
+    sign.  The field stays so that the enumerate-dinf JSON keeps its shape.
     """
 
     points: tuple[PointCertificate, ...]
@@ -404,7 +513,7 @@ def dimension_curve(N: int, count: int = 200) -> list[tuple[float, float]]:
     if count < 2:
         raise DomainError("count must be >= 2")
     lo = 1.0 / (N + 1)
-    hi = float(Fraction(3 * N + 1, (N + 1) * (2 * N + 1)))
+    hi = float(a0_star(N))
     out = []
     for k in range(count):
         a = lo + (hi - lo) * (k + 1) / (count + 1)

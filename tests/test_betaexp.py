@@ -258,6 +258,41 @@ class TestCountExpansions:
         assert is_univoque(w, 1, bq) is False
         assert count_expansions(pi_beta(w, bq), 1, bq, cap=2, depth=60).count == 1
 
+    @staticmethod
+    def reference(x, N, beta, cap, depth):
+        """The branching count in plain Fractions: (count, saturated)."""
+        bq = Fraction(beta)
+        K = N / (bq - 1)
+        frontier = [Fraction(x)]
+        for _ in range(depth):
+            frontier = [u for t in frontier for d in range(N + 1) if 0 <= (u := bq * t - d) <= K]
+            if len(frontier) >= cap:
+                return cap, True
+        return len(frontier), False
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(31)
+        cases = []
+        for _ in range(60):
+            N = rng.randint(1, 3)
+            beta = Fraction(rng.randint(11, 10 * N + 9), 10)
+            if rng.random() < 0.3:
+                beta = rng.choice((PHI, 1.9))
+            K = N / (Fraction(beta) - 1)
+            x = K * Fraction(rng.randint(0, 997), 997)
+            cases.append((x, N, beta))
+        for N, beta in ((1, PHI), (1, 1.9), (2, Fraction(5, 2)), (3, Fraction(13, 10))):
+            K = N / (Fraction(beta) - 1)
+            cases += [(0, N, beta), (K, N, beta), (K / 3, N, beta)]
+        saturated = 0
+        for x, N, beta in cases:
+            for cap, depth in ((4, 12), (50, 8)):
+                c = count_expansions(x, N, beta, cap=cap, depth=depth)
+                want = self.reference(x, N, beta, cap, depth)
+                assert (c.count, c.saturated) == want, (x, N, beta, cap, depth)
+                saturated += c.saturated
+        assert 0 < saturated < 2 * len(cases)
+
 
 class TestThueMorse:
     def test_display_block(self):

@@ -256,7 +256,11 @@ class TestDimInfiniteSet:
 
 
 class TestTieRule:
-    """Dimension reports place a among the thresholds by numdigits.compare."""
+    """A float a meets numdigits.compare's tie rule against the float thresholds.
+
+    An exact a is decided exactly against all five thresholds (see
+    TestExactThresholdDecisions); only the domain ends apply to it here.
+    """
 
     def test_float_within_the_tie_band_of_a_domain_end_raises(self):
         for report in (dim_zero_set, dim_infinite_set):
@@ -274,7 +278,9 @@ class TestTieRule:
         t = thresholds(1)
         for a in (t.a0_tilde - 1e-14, t.a0_tilde, t.a0_tilde + 1e-14, F(t.a0_tilde)):
             r = dim_zero_set(1, a)
-            assert (r.regime, r.at_threshold) == ("NULL_UNCOUNTABLE", True), a
+            # the exact F(a0_tilde) lies above the root of P_1, and is no tie
+            tie = not isinstance(a, F)
+            assert (r.regime, r.at_threshold) == ("NULL_UNCOUNTABLE", tie), a
             assert abs(r.value - 1.0) < 1e-6
 
     def test_a0_star_tie_is_empty_at_threshold(self):
@@ -299,10 +305,88 @@ class TestTieRule:
         assert "at_threshold" not in dim_infinite_set(2, F(1, 2)).to_json_obj()
 
     def test_a_inf_hat_tie_for_exact_a(self):
-        # a_inf_hat exists only as a float, so an exact a near it is a tie too
+        # an exact a near a_inf_hat is decided by the sign of its series, and
+        # F(hat) + 10^-14 lies above 1/q_KL
         hat = thresholds(1).a_inf_hat
         r = dim_infinite_set(1, F(hat) + F(1, 10**14))
-        assert (r.regime, r.at_threshold) == ("UNCOUNTABLE_DIM_ZERO", True)
+        assert (r.regime, r.at_threshold) == ("COUNTABLE_RATIONAL", False)
+
+
+class TestExactThresholdDecisions:
+    """Exact a near a0_tilde, a_inf_hat and an odd N's a_inf_star, against mpmath.
+
+    The oracle shares no code with the package: 60-digit roots of P_N by
+    findroot, of the Thue-Morse digit series built here, and 1/G from sqrt.
+    """
+
+    @staticmethod
+    def roots(N):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            def P(x):
+                return (2 * N + 1) ** (2 * N + 1) * x ** (N + 1) * ((N + 1) * x - 1) ** N - N**N
+
+            t = [bin(i).count("1") % 2 for i in range(401)]
+            m = (N + 1) // 2 if N % 2 else N // 2
+            tau = [m - 1 + t[i] if N % 2 else m + t[i] - t[i - 1] for i in range(1, 401)]
+
+            def series(x):  # 400 digits leave a tail below 10^-90
+                return mp.fsum(d * x**i for i, d in enumerate(tau, 1)) - 1
+
+            lo = mp.mpf(1) / (N + 1)
+            star = mp.mpf(3 * N + 1) / ((N + 1) * (2 * N + 1))
+            G = (m + mp.sqrt(m * m + 4 * m)) / 2 if N % 2 else mp.mpf(m + 1)
+            # P_N and the series increase on (lo, 1), so each has one root there
+            roots = {
+                "a0_tilde": mp.findroot(P, (lo + star) / 2),
+                "a0_star": star,
+                "a_inf_hat": mp.findroot(series, (lo, mp.mpf("0.7")), solver="anderson"),
+                "a_inf_star": 1 / G,
+            }
+            assert all(lo < r < 1 for r in roots.values())
+            return roots
+
+    @staticmethod
+    def expected(roots, a):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            x = mp.mpf(a.numerator) / a.denominator
+            zero = ("FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY")[
+                (x >= roots["a0_tilde"]) + (x >= roots["a0_star"])
+            ]
+            infinite = ("POSITIVE_DIM", "COUNTABLE_RATIONAL", "EMPTY")[
+                (x > roots["a_inf_hat"]) + (x >= roots["a_inf_star"])
+            ]
+        return zero, infinite
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_regime_matches_mpmath_oracle(self, N):
+        mp = pytest.importorskip("mpmath")
+        roots = self.roots(N)
+        names = ["a0_tilde", "a_inf_hat"] + (["a_inf_star"] if N % 2 else [])
+        rng = random.Random(100 + N)
+        for name in names:
+            root = F(mp.nstr(roots[name], 50))
+            seen = set()
+            for _ in range(3):
+                offset = F(rng.randint(1, 9), 10 ** rng.randint(12, 30))
+                for a in (root - offset, root + offset):
+                    zero, infinite = self.expected(roots, a)
+                    r0 = dim_zero_set(N, a)
+                    r1 = dim_infinite_set(N, a, depth=6)
+                    assert (r0.regime, r0.at_threshold) == (zero, False), (N, name, a)
+                    assert (r1.regime, r1.at_threshold) == (infinite, False), (N, name, a)
+                    seen.add((zero, infinite))
+            assert len(seen) == 2, (N, name)  # both sides of the root were reached
+
+    def test_digit_cap_raises_resource_error(self, monkeypatch):
+        # 64 digits bracket the series only to about 1e-16 at N = 1
+        mp = pytest.importorskip("mpmath")
+        a = F(mp.nstr(self.roots(1)["a_inf_hat"], 50)) + F(1, 10**25)
+        assert dim_infinite_set(1, a).regime == "COUNTABLE_RATIONAL"
+        monkeypatch.setattr(spectrum, "A_INF_HAT_DIGIT_CAP", 64)
+        with pytest.raises(ResourceError, match="64 digits"):
+            dim_infinite_set(1, a)
 
 
 class TestEnumeration:
@@ -417,6 +501,16 @@ class TestEnumeration:
             if len(OmegaSeq(N, (), word).period) == plen
         }
         assert counts["univoque"] == len(classes)
+
+    def test_rejected_is_always_empty(self):
+        # for an all-even period the tail margins are is_univoque's conditions
+        points = 0
+        for N in (1, 2, 3):
+            for k in range(60 // (N + 1) + 1, 60):
+                res = enumerate_infinite_points(N, F(k, 60), 1, 3)
+                assert res.rejected == (), (N, k)
+                points += len(res.points)
+        assert points > 100
 
     def test_precision_error_at_float_golden_ratio(self):
         with pytest.raises(PrecisionError):
