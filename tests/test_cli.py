@@ -192,6 +192,12 @@ class TestExitCodes:
         code, _, err = call(["eval", "--N", "1", "--a", "0.4", "--x", "1/3"])
         assert code == 2 and "domain error" in err
 
+    def test_N_below_1_is_a_domain_error(self):
+        for verb in ("dim-d0", "dim-dinf"):
+            for N in ("0", "-1", "-2"):
+                code, out, err = call([verb, "--N", N, "--a", "1/2"])
+                assert (code, out) == (2, "") and "N must be >= 1" in err, (verb, N)
+
     def test_precision_error(self):
         # a = 1/(golden ratio) via the float threshold reference puts the
         # classifier margins exactly on a strict boundary

@@ -225,6 +225,14 @@ class TestDimZeroSet:
         with pytest.raises(DomainError):
             dim_zero_set(1, F(1, 2))
 
+    @pytest.mark.parametrize("N", [0, -1, -2])
+    def test_reports_reject_N_below_1(self, N):
+        # N = -2 puts a = 1/2 inside (1/(N+1), 1); N = -1 would divide by 0
+        for report in (dim_zero_set, dim_infinite_set):
+            for a in (F(1, 2), 0.5):
+                with pytest.raises(DomainError, match="N must be >= 1"):
+                    report(N, a)
+
 
 class TestDimInfiniteSet:
     def test_empty_regime(self):
@@ -320,17 +328,18 @@ class TestExactThresholdDecisions:
     """
 
     @staticmethod
-    def roots(N):
+    def roots(N, dps=60):
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(60):
+        with mp.workdps(dps):
             def P(x):
                 return (2 * N + 1) ** (2 * N + 1) * x ** (N + 1) * ((N + 1) * x - 1) ** N - N**N
 
-            t = [bin(i).count("1") % 2 for i in range(401)]
+            n = 7 * dps  # leaves a tail below 10^-(1.5 dps)
+            t = [bin(i).count("1") % 2 for i in range(n + 1)]
             m = (N + 1) // 2 if N % 2 else N // 2
-            tau = [m - 1 + t[i] if N % 2 else m + t[i] - t[i - 1] for i in range(1, 401)]
+            tau = [m - 1 + t[i] if N % 2 else m + t[i] - t[i - 1] for i in range(1, n + 1)]
 
-            def series(x):  # 400 digits leave a tail below 10^-90
+            def series(x):
                 return mp.fsum(d * x**i for i, d in enumerate(tau, 1)) - 1
 
             lo = mp.mpf(1) / (N + 1)
@@ -347,9 +356,9 @@ class TestExactThresholdDecisions:
             return roots
 
     @staticmethod
-    def expected(roots, a):
+    def expected(roots, a, dps=60):
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(60):
+        with mp.workdps(dps):
             x = mp.mpf(a.numerator) / a.denominator
             zero = ("FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY")[
                 (x >= roots["a0_tilde"]) + (x >= roots["a0_star"])
@@ -378,6 +387,19 @@ class TestExactThresholdDecisions:
                     assert (r1.regime, r1.at_threshold) == (infinite, False), (N, name, a)
                     seen.add((zero, infinite))
             assert len(seen) == 2, (N, name)  # both sides of the root were reached
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_a_inf_hat_at_200_digits(self, N):
+        # offsets of 10^-200 take the series' bracket to 1024 digits
+        mp = pytest.importorskip("mpmath")
+        roots = self.roots(N, dps=260)
+        root = F(mp.nstr(roots["a_inf_hat"], 250))
+        seen = set()
+        for a in (root - F(1, 10**200), root + F(1, 10**200)):
+            infinite = self.expected(roots, a, dps=260)[1]
+            assert dim_infinite_set(N, a, depth=6).regime == infinite, (N, a)
+            seen.add(infinite)
+        assert seen == {"POSITIVE_DIM", "COUNTABLE_RATIONAL"}
 
     def test_digit_cap_raises_resource_error(self, monkeypatch):
         # 64 digits bracket the series only to about 1e-16 at N = 1
