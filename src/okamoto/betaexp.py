@@ -38,13 +38,13 @@ def pi_beta(w: OmegaSeq, beta) -> Number:
     """
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    return _shift_values(w, Fraction(beta) if is_exact(beta) else float(beta))[0]
+    return w.series_sum(*_projection_tables(w.N, beta))
 
 
-def _shift_values(w: OmegaSeq, beta) -> list:
-    """pi_beta of every distinct shift of w, in the arithmetic of beta."""
-    inv = 1 / beta
-    return w.tail_sums([d * inv for d in range(w.N + 1)], [inv] * (w.N + 1))
+def _projection_tables(N: int, beta) -> tuple[list, list]:
+    """Digit-indexed (term, ratio) tables of pi_beta's series: Fractions for an exact beta."""
+    inv = 1 / (Fraction(beta) if is_exact(beta) else float(beta))
+    return [d * inv for d in range(N + 1)], [inv] * (N + 1)
 
 
 def shift(w: OmegaSeq, n: int = 1) -> OmegaSeq:
@@ -151,7 +151,7 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
     bq = Fraction(beta)
     K = Fraction(N) / (bq - 1)
-    values = _shift_values(w, bq)
+    values = w.tail_sums(*_projection_tables(N, bq))
     # complement tail value is K - v, so both conditions read K-1 < v < 1;
     # only the largest and the least value can fail or tie
     inexact = not is_exact(beta)

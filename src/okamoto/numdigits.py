@@ -2,13 +2,13 @@
 
 A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
 preperiod and a repeating period (DigitSeq); expansions in a base beta over
-{0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their shared
-tail_sums sums every shift of a sequence in closed form in O(L+m) operations;
-F's values, the tail margins and the projections in base beta all come from
-it, in Fractions or at DECIMAL_DIGITS digits.  Long division stops at
-EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int and
-Fraction inputs are decided exactly, a float within TIE_TOL of a strict
-boundary is a tie.
+{0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their
+tail_sums sums every shift in closed form in O(L+m) operations, for the tail
+margins and the univoque test; series_sum sums the sequence alone, for F's
+values and the projections in base beta, in Fractions or at DECIMAL_DIGITS
+digits.  Long division stops at EXPANSION_DIGIT_CAP digits.  The package's
+numeric policy is compare: int and Fraction inputs are decided exactly, a
+float within TIE_TOL of a strict boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -59,6 +59,11 @@ def compare(x, bound, inexact: bool = False, what: str | None = None) -> int | N
     if what is not None:
         raise PrecisionError(f"{what} lies within {TIE_TOL} of {bound}; supply an exact rational")
     return None
+
+
+def _decimal_tables(term, ratio):
+    """Fraction tables with each entry rounded once to a Decimal in the current context."""
+    return ([Decimal(q.numerator) / q.denominator for q in t] for t in (term, ratio))
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,25 +132,46 @@ class EventuallyPeriodic:
 
         term and ratio are indexed by digit.  S_n is the sum over the n-th
         shift of the sequence, and shift L+m equals shift L, so these are all
-        the distinct values.  The period's sum is taken once in closed form,
-        block / (1 - g) with g the product of ratio over the period (|g| < 1
-        is the caller's to ensure), and rolled backwards through the period
-        and the preperiod: O(L+m) operations in the arithmetic of term and
-        ratio, so Fractions give exact values and floats give floats.
+        the distinct values.  The period's sum is taken once in closed form
+        (_period_sum) and rolled backwards through the period and the
+        preperiod: O(L+m) operations in the arithmetic of term and ratio, so
+        Fractions give exact values and floats give floats.
         """
-        per = self.period
-        block = term[per[-1]]
-        for d in reversed(per[:-1]):
-            block = term[d] + ratio[d] * block
-        # powers, not a running product: float rounding stays at a few ulps
-        g = math.prod(ratio[d] ** k for d, k in Counter(per).items())
-        word = self.preperiod + per
-        s = block / (1 - g)  # S_{L+m} = S_L
+        word = self.preperiod + self.period
+        s = self._period_sum(term, ratio)  # S_{L+m} = S_L
         sums = [s] * len(word)
         for n in reversed(range(len(word))):
             d = word[n]
             s = sums[n] = term[d] + ratio[d] * s
         return sums
+
+    def _period_sum(self, term, ratio):
+        """S_L = block / (1 - g), g the product of ratio over the period (|g| < 1)."""
+        per = self.period
+        block = term[per[-1]]
+        for d in reversed(per[:-1]):
+            block = term[d] + ratio[d] * block
+        # powers, not a running product: float rounding stays at a few ulps
+        return block / (1 - math.prod(ratio[d] ** k for d, k in Counter(per).items()))
+
+    def series_sum(self, term, ratio):
+        """S_0 of tail_sums alone: _period_sum carried back through the preperiod
+        by Horner's rule, with no roll.  Exact (int or Fraction) tables run on
+        integers T = term*Q, R = ratio*Q over Q^m - prod R, Q their denominators' lcm."""
+        if not all(map(is_exact, (*term, *ratio))):
+            s = self._period_sum(term, ratio)
+            for d in reversed(self.preperiod):
+                s = term[d] + ratio[d] * s
+            return s
+        Q = math.lcm(*(v.denominator for v in (*term, *ratio)))
+        T, R = ([v.numerator * (Q // v.denominator) for v in t] for t in (term, ratio))
+        s, den = 0, 1
+        for d in reversed(self.period):
+            s, den = T[d] * den + R[d] * s, den * Q
+        den -= math.prod(R[d] ** k for d, k in Counter(self.period).items())
+        for d in reversed(self.preperiod):
+            s, den = T[d] * den + R[d] * s, den * Q
+        return Fraction(s, den)
 
     def decimal_tail_sums(self, term, ratio) -> list[Decimal]:
         """tail_sums of exact (Fraction) tables, at DECIMAL_DIGITS digits.
@@ -155,8 +181,12 @@ class EventuallyPeriodic:
         1 - g > 1e-30 a result rounded to a float is the exact sum rounded once.
         """
         with decimal_context():
-            tables = ([Decimal(q.numerator) / q.denominator for q in t] for t in (term, ratio))
-            return self.tail_sums(*tables)
+            return self.tail_sums(*_decimal_tables(term, ratio))
+
+    def decimal_series_sum(self, term, ratio) -> Decimal:
+        """series_sum of exact tables at DECIMAL_DIGITS digits, as decimal_tail_sums."""
+        with decimal_context():
+            return self.series_sum(*_decimal_tables(term, ratio))
 
     def __str__(self) -> str:
         head = " ".join(str(d) for d in self.preperiod)

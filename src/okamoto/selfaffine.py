@@ -40,12 +40,12 @@ class GeneratorPattern:
 
 def generator_pattern(p: Params) -> GeneratorPattern:
     B = 2 * p.N + 1
-    xs = tuple(Fraction(i, B) for i in range(B + 1))
-    ys: list[Number] = []
-    for j in range(p.N + 1):
-        ys.append(j * (p.a - p.b))
-        ys.append((j + 1) * p.a - j * p.b)
-    return GeneratorPattern(xs=xs, ys=tuple(ys))
+    return GeneratorPattern(xs=tuple(Fraction(i, B) for i in range(B + 1)), ys=_pattern_ys(p))
+
+
+def _pattern_ys(p: Params) -> tuple[Number, ...]:
+    """The y_i of generator_pattern without its Fraction abscissae."""
+    return tuple(y for j in range(p.N + 1) for y in (j * (p.a - p.b), (j + 1) * p.a - j * p.b))
 
 
 def eval_fn(p: Params, n: int, x: Number) -> Number:
@@ -79,7 +79,7 @@ def _series_tables(p: Params) -> tuple[tuple[Number, ...], list[Number]]:
     -b for an odd one; the per-period factor has modulus a^e * b^o < 1.
     """
     ratio = [p.a if xi % 2 == 0 else -p.b for xi in range(2 * p.N + 1)]
-    return generator_pattern(p).ys, ratio
+    return _pattern_ys(p), ratio
 
 
 def eval_F(p: Params, d: DigitSeq) -> float:
@@ -87,31 +87,31 @@ def eval_F(p: Params, d: DigitSeq) -> float:
 
     The result lies within one ulp of float(eval_F_exact(q, d)), with
     q = make_params(N, Fraction(a)) at a's exact value: the series is summed
-    in closed form at 50 digits (DigitSeq.decimal_tail_sums), then rounded.
+    in closed form at 50 digits (DigitSeq.decimal_series_sum), then rounded.
     A rational a within NEAR_ONE = 1e-30 of 1, far nearer than any float,
     raises PrecisionError: 1 - a^m would cancel too many of those digits.
     """
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    q = make_params(p.N, Fraction(p.a))
+    q = p if is_exact(p.a) else make_params(p.N, Fraction(p.a))
     if 1 - q.a < NEAR_ONE:
         raise PrecisionError(
             f"a lies within {float(NEAR_ONE)} of 1; use eval_F_exact for its exact value"
         )
-    return float(d.decimal_tail_sums(*_series_tables(q))[0])
+    return float(d.decimal_series_sum(*_series_tables(q)))
 
 
 def eval_F_exact(p: Params, d: DigitSeq) -> Fraction:
     """Exact value of F at an eventually periodic point, for rational a.
 
-    The digit series is summed in closed form over one period
-    (DigitSeq.tail_sums).
+    The digit series is summed in closed form over one period, on integers
+    over one shared denominator (DigitSeq.series_sum).
     """
     if not is_exact(p.a):
         raise DomainError("eval_F_exact requires a rational slope parameter a")
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    return d.tail_sums(*_series_tables(p))[0]
+    return d.series_sum(*_series_tables(p))
 
 
 def eval_F_rational(p: Params, x: Fraction) -> float:

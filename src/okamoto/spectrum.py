@@ -275,8 +275,8 @@ def _a_inf_hat_order(N: int, a: Number) -> int | None:
             return -1
         k *= 2
     raise ResourceError(
-        f"deciding a = {a} against a_inf_hat for N={N} needs more than "
-        f"{A_INF_HAT_DIGIT_CAP} digits of its series (the cap)"
+        f"deciding a = {af!r} ({len(str(q))}-digit denominator) against a_inf_hat for N={N} "
+        f"needs more than {A_INF_HAT_DIGIT_CAP} digits of its series (the cap)"
     )
 
 

@@ -15,6 +15,7 @@ from okamoto import (
     ResourceError,
     check_infinite_conditions,
     digits_of_rational,
+    eval_F,
     eval_F_exact,
     generator_pattern,
     is_univoque,
@@ -26,7 +27,9 @@ from okamoto import (
     shift,
 )
 from okamoto import numdigits
+from okamoto.betaexp import _projection_tables
 from okamoto.numdigits import parse_digitseq, parse_omegaseq
+from okamoto.selfaffine import _series_tables
 
 from conftest import random_digitseq, random_omegaseq
 
@@ -408,3 +411,55 @@ class TestTailSums:
                     assert abs(Fraction(v) - e) <= (1 + abs(e)) / 10**47
                 check_infinite_conditions(make_params(N, float(a)), w)
             assert ctx.prec == 7 and not any(ctx.flags.values())
+
+    def test_series_sum_is_the_first_tail_sum(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            N = rng.randint(1, 4)
+            d = random_digitseq(rng, N, max_pre=5, max_per=12)
+            p = make_params(N, _random_fraction(rng, Fraction(1, N + 1), 1))
+            w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+            beta = _random_fraction(rng, 1, N + 1)
+            # F's signed tables (ratio -b for odd digits) and pi_beta's 1/beta ones
+            for seq, tables in ((d, _series_tables(p)), (w, _projection_tables(N, beta))):
+                first = seq.tail_sums(*tables)[0]
+                assert seq.series_sum(*tables) == first
+                assert abs(Fraction(seq.decimal_series_sum(*tables)) - first) <= abs(first) / 10**47
+                floats = [[float(v) for v in t] for t in tables]
+                assert abs(seq.series_sum(*floats) - float(first)) <= 1e-12 * (1 + abs(first))
+
+    def test_first_value_callers_do_not_roll(self, monkeypatch):
+        rng = random.Random(17)
+        cases = []
+        for _ in range(100):
+            N = rng.randint(1, 4)
+            d = random_digitseq(rng, N, max_pre=5, max_per=12)
+            p = make_params(N, _random_fraction(rng, Fraction(1, N + 1), 1))
+            w = random_omegaseq(rng, N, max_pre=5, max_per=12)
+            beta = _random_fraction(rng, 1, N + 1)
+            # the values before series_sum: S_0 read from tail_sums, a float a
+            # taken at its exact value
+            pf = make_params(N, float(p.a))
+            F = d.tail_sums(*_series_tables(p))[0]
+            Ff = [float(d.decimal_tail_sums(*_series_tables(make_params(N, Fraction(q.a))))[0])
+                  for q in (p, pf)]
+            pi = w.tail_sums(*_projection_tables(N, beta))[0]
+            pif = w.tail_sums(*_projection_tables(N, float(beta)))[0]
+            cases.append((p, pf, d, w, beta, F, Ff, pi, pif))
+
+        def rolled(*args):
+            raise AssertionError("tail_sums called for S_0 alone")
+
+        monkeypatch.setattr(numdigits.EventuallyPeriodic, "tail_sums", rolled)
+        for p, pf, d, w, beta, F, Ff, pi, pif in cases:
+            assert eval_F_exact(p, d) == F
+            assert [eval_F(p, d), eval_F(pf, d)] == Ff
+            assert pi_beta(w, beta) == pi
+            assert abs(pi_beta(w, float(beta)) - pif) <= 1e-12 * (1 + pif)
+
+    def test_long_period_exact_value_within_one_ulp_of_the_float(self):
+        p = make_params(1, Fraction(3, 5))
+        d = digits_of_rational(1, 30011, 1)
+        assert len(d.period) == 15005
+        exact = float(eval_F_exact(p, d))
+        assert abs(exact - eval_F(p, d)) <= math.ulp(exact)

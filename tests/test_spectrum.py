@@ -409,6 +409,10 @@ class TestExactThresholdDecisions:
         monkeypatch.setattr(spectrum, "A_INF_HAT_DIGIT_CAP", 64)
         with pytest.raises(ResourceError, match="64 digits"):
             dim_infinite_set(1, a)
+        # a's float and its denominator's length, not all of its digits
+        with pytest.raises(ResourceError, match="301-digit denominator") as err:
+            dim_infinite_set(1, a + F(1, 10**300))
+        assert len(str(err.value)) < 300
 
 
 class TestEnumeration:
