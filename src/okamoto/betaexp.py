@@ -20,6 +20,7 @@ words rather than all (N+1)^d of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -34,16 +35,19 @@ QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 5
 def pi_beta(w: OmegaSeq, beta) -> Number:
     """Projection sum(w_j * beta^-j), in closed form for eventually periodic w.
 
-    Exact (Fraction) when beta is rational, float otherwise.
+    Exact (Fraction) when beta is an int or Fraction.  A float beta is summed
+    at its exact value at 50 digits (decimal_series_sum) and rounded once, as
+    eval_F does: 1 - beta^-m > 2^-53, so it is within one ulp of the exact sum.
     """
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    return w.series_sum(*_projection_tables(w.N, beta))
+    tables = _projection_tables(w.N, beta)
+    return w.series_sum(*tables) if is_exact(beta) else float(w.decimal_series_sum(*tables))
 
 
 def _projection_tables(N: int, beta) -> tuple[list, list]:
-    """Digit-indexed (term, ratio) tables of pi_beta's series: Fractions for an exact beta."""
-    inv = 1 / (Fraction(beta) if is_exact(beta) else float(beta))
+    """Digit-indexed (term, ratio) tables of pi_beta's series, in Fractions at beta's exact value."""
+    inv = 1 / Fraction(beta)
     return [d * inv for d in range(N + 1)], [inv] * (N + 1)
 
 
@@ -331,10 +335,20 @@ def resolve_beta(spec):
     for prefix, fn in (("kl:", komornik_loreti), ("gr:", generalized_golden_ratio)):
         if text.startswith(prefix):
             return fn(reference_index(text, prefix))
+    return parse_rational(spec, "beta")
+
+
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    """An exact rational such as "5/6" or "1.9"; a malformed text raises DomainError,
+    quoted by its ends and digit count when long (Python's int conversion limit)."""
     try:
-        return Fraction(text)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"cannot parse beta value {spec!r}") from None
+        shown = repr(text)
+        if len(text) > 60:
+            shown = (f"{text[:24]!r}...{text[-12:]!r} ({sum(map(str.isdigit, text))} digits; "
+                     f"the int conversion limit is {sys.get_int_max_str_digits() or 'off'})")
+        raise DomainError(f"cannot parse {what} value {shown}") from None
 
 
 @dataclass(frozen=True)

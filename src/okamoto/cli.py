@@ -72,13 +72,6 @@ def _json_text(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"cannot parse rational value {text!r}") from None
-
-
 def parse_a(text: str):
     """An exact rational, "a0tilde:N", or the reciprocal of a "kl:N"/"gr:N" base."""
     text = text.strip()
@@ -87,7 +80,7 @@ def parse_a(text: str):
     if text.startswith(("kl:", "gr:")):
         beta = betaexp.resolve_beta(text)
         return Fraction(1, beta) if isinstance(beta, int) else 1.0 / beta
-    return parse_rational(text)
+    return betaexp.parse_rational(text)
 
 
 def parse_n_range(text: str) -> list[int]:
@@ -172,7 +165,7 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args, out: TextIO) -> None:
     a = parse_a(args.a)
     p = make_params(args.N, a)
-    x = parse_rational(args.x)
+    x = betaexp.parse_rational(args.x)
     d = digits_of(x, args.N)
     val = eval_F(p, d)
     emit_json({
@@ -188,7 +181,7 @@ def _cmd_eval(args, out: TextIO) -> None:
 def _cmd_classify(args, out: TextIO) -> None:
     a = parse_a(args.a)
     p = make_params(args.N, a)
-    x = parse_rational(args.x)
+    x = betaexp.parse_rational(args.x)
     d = digits_of(x, args.N)
     verdict = classify_derivative(p, d)
     probe_rows = (
@@ -290,7 +283,7 @@ def _cmd_beta(args, out: TextIO) -> None:
         emit_json({"op": op, "N": args.N, "beta": float(beta), "w": str(w),
                    "univoque": betaexp.is_univoque(w, args.N, beta)}, out)
     elif op == "count":
-        x = parse_rational(args.x)
+        x = betaexp.parse_rational(args.x)
         c = betaexp.count_expansions(x, args.N, beta, args.cap, args.depth)
         emit_json({"op": op, "N": args.N, "beta": float(beta), "x": x,
                    "count": c.count, "at_least": c.saturated}, out)

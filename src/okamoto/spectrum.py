@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -32,13 +33,13 @@ from .betaexp import (
     generalized_tm_prefix,
     komornik_loreti,
 )
-from .derivative import DerivativeTag, classify_derivative
+from .derivative import DerivativeTag
 from .errors import DomainError, ResourceError
-from .numdigits import DigitSeq, Number, OmegaSeq, compare, is_exact, make_params, odd_total
+from .numdigits import Number, OmegaSeq, compare, is_exact, make_params
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
-# a step builds one candidate point: 20-180 us each (2-CPU x86, Python 3.11),
-# longest for 14-digit words, so at most about 20 s at the cap
+# a step tests a candidate word (20-60 us per word of 6-14 digits) or keys one
+# point (1-5 us), so at most about 3 s at the cap (2-CPU x86, Python 3.11)
 ENUMERATION_WORK_CAP = 100_000
 # each doubling of the series' digits squares the resolution of a_inf_hat's
 # sign: 4096 digits resolve offsets down to about 1e-1000 (N = 1), and an a
@@ -378,14 +379,14 @@ class PointCertificate:
 
 @dataclass(frozen=True)
 class InfiniteSetEnumeration:
-    """Points built as prefix + doubled univoque sequence, with their verdicts.
+    """Points prefix . (2w)^inf of D_inf(a), each with its (prefix, w) witness.
 
-    `rejected` would hold candidates whose verdict is not an infinite
-    derivative, and it is always empty.  For an all-even period 2w the two
-    tail margins are 1 - pi_beta(shift^n w) and pi_beta(shift^n w) - (K - 1),
-    K = N/(beta - 1): exactly is_univoque's two conditions.  So every
-    admissible w passes, and the prefix's odd-digit parity sets only the
-    sign.  The field stays so that the enumerate-dinf JSON keeps its shape.
+    For an all-even period 2w the two tail margins of the derivative are
+    1 - pi_beta(shift^n w) and pi_beta(shift^n w) - (K - 1), K = N/(beta - 1):
+    exactly is_univoque's two conditions.  So every admissible w gives
+    F' = +-inf, and the sign is the parity of the prefix's odd digits.
+    `rejected` is always empty; it stays so that the enumerate-dinf JSON
+    keeps its shape.
     """
 
     points: tuple[PointCertificate, ...]
@@ -395,29 +396,24 @@ class InfiniteSetEnumeration:
 def enumerate_infinite_points(
     N: int, a: Number, max_prefix_len: int, max_period: int
 ) -> InfiniteSetEnumeration:
-    """All points prefix . doubled-omega with omega periodic and univoque.
+    """All points prefix . (2w)^inf with w primitive, periodic and univoque.
 
-    omega runs over primitive periodic sequences with period up to
-    max_period that pass is_univoque in base 1/a; prefixes run over all
-    base-(2N+1) words up to max_prefix_len.  Each emitted point carries its
-    (prefix, omega) certificate; points whose verdict is not an infinite
-    derivative land in `rejected`.
-
-    Each thing is decided once.  is_univoque reads only the extremes of the
-    shift values, one set for every rotation of a periodic word, so it runs
-    once per rotation class.  classify_derivative of an all-even period reads
-    only the canonical period and the parity of the odd-digit total M
-    (canonicalising moves only even digits, so M is the prefix's odd count),
-    so its tag is kept under (period, M % 2).  Each period is classified at
-    its first candidate, so an error is raised exactly where classifying
-    every point would raise it, and a float a's margins are summed from that
-    period's own tuple.  The work is estimated up front as the candidate
-    words plus the prefixes times the candidate words, one step per point
-    built; above ENUMERATION_WORK_CAP it raises ResourceError.
+    w runs over primitive words up to max_period that pass is_univoque in
+    base 1/a, once per rotation class (it reads only the extremes of the
+    shift values, one set for every rotation); prefixes run over all
+    base-(2N+1) words up to max_prefix_len.  The tag is PLUS_INFINITY for a
+    prefix with an even number of odd digits and MINUS_INFINITY otherwise
+    (see InfiniteSetEnumeration).  With B = 2N+1, V the prefix and W the
+    period 2w read in base B, x = (V (B^m - 1) + W) / (B^L (B^m - 1)); each
+    point is keyed by its integer numerator over the one denominator
+    B^max_prefix_len lcm(B^m - 1), and the first (prefix, w) per key is kept.
+    The work is estimated up front as the candidate words plus the prefixes
+    times the candidate words; above ENUMERATION_WORK_CAP it raises
+    ResourceError.
     """
     if max_prefix_len < 0 or max_period < 1:
         raise DomainError("max_prefix_len must be >= 0 and max_period >= 1")
-    p = make_params(N, a)
+    make_params(N, a)  # validates N and a
     # there are at least 2^k words of length k, so lengths past 64 are over
     # the cap without summing huge powers
     if max(max_period, max_prefix_len) > 64:
@@ -450,30 +446,26 @@ def enumerate_infinite_points(
             if univoque[least]:
                 admissible.append(w)
     B = 2 * N + 1
-    # the all-zero period, the one that classify_derivative rejects by its
-    # preperiod (x = 0), never occurs: a constant word is not univoque
-    tags: dict[tuple[tuple[int, ...], int], DerivativeTag] = {}
-    seen: dict[Fraction, PointCertificate] = {}
+    # the all-zero period (x = 0) never occurs: a constant word is not univoque
+    lcm = math.lcm(*{B ** len(w.period) - 1 for w in admissible})
+    tails = []  # (w, W) with W over the denominator lcm
+    for w in admissible:
+        W = reduce(lambda s, t: s * B + 2 * t, w.period, 0)
+        tails.append((w, W * (lcm // (B ** len(w.period) - 1))))
+    seen: dict[int, tuple] = {}  # numerator -> first (prefix, w, tag)
     for plen in range(max_prefix_len + 1):
+        scale = B ** (max_prefix_len - plen)
+        scaled = [(w, scale * t) for w, t in tails]
         for v in product(range(B), repeat=plen):
-            for w in admissible:
-                dseq = DigitSeq(N, v, tuple(2 * t for t in w.period))
-                x = dseq.value()
-                if x in seen:
-                    continue
-                key = (dseq.period, odd_total(dseq) % 2)
-                if key not in tags:
-                    tags[key] = classify_derivative(p, dseq).tag
-                seen[x] = PointCertificate(x=x, prefix=v, omega=w, tag=tags[key])
-    points = []
-    rejected = []
-    for x in sorted(seen):
-        cert = seen[x]
-        if cert.tag in (DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY):
-            points.append(cert)
-        else:
-            rejected.append(cert)
-    return InfiniteSetEnumeration(points=tuple(points), rejected=tuple(rejected))
+            head = reduce(lambda s, d: s * B + d, v, 0) * scale * lcm
+            # sum(v) has the parity of v's odd-digit count
+            tag = (DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY)[sum(v) % 2]
+            for w, t in scaled:
+                if head + t not in seen:
+                    seen[head + t] = (v, w, tag)
+    D = B ** max_prefix_len * lcm
+    points = tuple(PointCertificate(Fraction(k, D), *seen[k]) for k in sorted(seen))
+    return InfiniteSetEnumeration(points=points, rejected=())
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,16 @@ class TestProjection:
             beta = Fraction(5, 3)
             assert pi_beta(w, beta) == Fraction(N) / (beta - 1)
 
+    def test_float_beta_within_one_ulp_of_its_exact_value(self):
+        # beta near 1 is the hard case: 1 - g cancels, which costs a float sum about 200 ulp
+        rng = random.Random(23)
+        for _ in range(2000):
+            N = rng.randint(1, 4)
+            w = random_omegaseq(rng, N, max_pre=5, max_per=39)
+            beta = 1 + N * rng.randint(1, 1000) / 1000
+            exact = float(pi_beta(w, Fraction(beta)))
+            assert abs(pi_beta(w, beta) - exact) <= math.ulp(exact), (w, beta)
+
     def test_tm_sequence_sums_to_one_at_critical_base(self):
         for N in (1, 2, 3):
             beta = komornik_loreti(N)

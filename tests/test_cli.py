@@ -237,6 +237,17 @@ class TestMalformedCalls:
         code, out, err = call(["thresholds", "--N", "1", "--tol", value])
         assert (code, out) == (1, "") and err.startswith("usage error")
 
+    @pytest.mark.parametrize("argv", [
+        ["dim-dinf", "--N", "1", "--a", "0." + "5" * 5000],
+        ["eval", "--N", "1", "--a", "3/5", "--x", "0." + "5" * 5000],
+        ["beta", "--op", "pi", "--N", "1", "--beta", "1." + "5" * 5000, "--w", "(1 1 0)"],
+    ])
+    def test_long_number_is_quoted_by_its_ends(self, argv):
+        # past Python's 4300-digit int conversion limit
+        code, out, err = call(argv)
+        assert (code, out) == (2, "") and err.startswith("domain error")
+        assert len(err) < 300 and "5001 digits" in err and "4300" in err
+
     def test_non_integer_digit_is_a_domain_error(self):
         code, out, err = call(["beta", "--op", "univoque", "--N", "1", "--beta", "1.9", "--w", "(x)"])
         assert (code, out) == (2, "")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -23,7 +24,7 @@ from okamoto import (
     threshold_asymptotics,
     thresholds,
 )
-from okamoto import betaexp, spectrum
+from okamoto import betaexp, derivative, spectrum
 from okamoto.betaexp import is_univoque
 from okamoto.cli import run
 from okamoto.derivative import classify_derivative
@@ -505,21 +506,21 @@ class TestEnumeration:
         # both signs occur, so the prefix parity reaches the verdict
         assert {r[3] for r in points} == {DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY}
 
-    def test_one_verdict_per_period_and_parity(self, monkeypatch):
+    def test_one_univoque_per_rotation_class_and_no_classifier(self, monkeypatch):
         N = 2
-        admissible = self.admissible(N, F(7, 20), 4)
-        counts = {"classify": 0, "univoque": 0}
+        counts = {"univoque": 0}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            counts["univoque"] += 1
+            return is_univoque(*args)
 
-        monkeypatch.setattr(spectrum, "classify_derivative", counted("classify", classify_derivative))
-        monkeypatch.setattr(betaexp, "is_univoque", counted("univoque", is_univoque))
-        enumerate_infinite_points(N, F(7, 20), 2, 4)
-        assert counts["classify"] <= 2 * len(admissible)
+        def consulted(*args):
+            raise AssertionError("enumeration consulted the derivative classifier")
+
+        monkeypatch.setattr(betaexp, "is_univoque", counted)
+        monkeypatch.setattr(derivative, "classify_derivative", consulted)
+        monkeypatch.setattr(derivative, "check_infinite_conditions", consulted)
+        assert enumerate_infinite_points(N, F(7, 20), 2, 4).points
         classes = {
             min(word[k:] + word[:k] for k in range(plen))
             for plen in range(1, 5)
@@ -527,6 +528,17 @@ class TestEnumeration:
             if len(OmegaSeq(N, (), word).period) == plen
         }
         assert counts["univoque"] == len(classes)
+
+    @pytest.mark.parametrize("a, max_period, digest", [
+        ("7/20", "4", "82b58dcdac71a3ca8f74d6061c0967fc9ff4b46604346bbe1b692928fe993104"),
+        ("0.35", "3", "2b447d1f9f448cdd3ac1c27aeed8f3626c2e1f4be7f8edbababa21d28adc7436"),
+    ])
+    def test_cli_output_is_pinned(self, a, max_period, digest):
+        # the construction prints byte for byte what classifying every point printed
+        out = io.StringIO()
+        argv = ["enumerate-dinf", "--N", "2", "--a", a, "--max-prefix", "2", "--max-period", max_period]
+        assert run(argv, stdout=out, stderr=io.StringIO()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
     def test_rejected_is_always_empty(self):
         # for an all-even period the tail margins are is_univoque's conditions
