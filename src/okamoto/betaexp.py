@@ -261,25 +261,59 @@ def generalized_golden_ratio(N: int) -> int | float:
     return (m + math.sqrt(m * m + 4 * m)) / 2
 
 
-def komornik_loreti(N: int) -> float:
-    """Critical base: the unique root of pi_beta(tm-sequence) = 1.
+def _thue_morse_coefficients(N: int, p, q) -> tuple:
+    """(c0, c1) with sign(S(p/q) - 1) = sign(c0 - c1 P(p/q)), as in thue_morse_sign."""
+    if N % 2:
+        return (N + 1) * p - q, q - p
+    return N * p * q - (q - p) * q, (q - p) ** 2
 
-    Bisection (bisect_root) on the strictly decreasing map beta ->
-    pi_beta(tau), with the sequence truncated once the geometric tail bound
-    drops below 1e-13.
+
+def thue_morse_sign(N: int, p: int, q: int, bits: int) -> int | None:
+    """Sign of S(a) - 1 at a = p/q <= 1 - 2^-bits, or None where `bits` bits cannot tell.
+
+    S(a) = sum(tau_i a^i), tau from generalized_tm_prefix, is 1 at a = 1/q_KL(N).
+    P(a) = prod_k (1 - a^(2^k)) = sum((-1)^t_i a^i) (Allouche-Shallit 1999), so
+    T = sum(t_i a^i) = (1/(1-a) - P)/2; S is (m-1)a/(1-a) + T for N = 2m-1 and
+    m a/(1-a) + (1-a)T for N = 2m.  Clearing 2(1-a)q (odd N) or 2(1-a)q^2 leaves
+    c0 - c1 P, with c1 > 0 (a float a passes q = 1).  P is bracketed in fixed
+    point: y = a^(2^k) by squaring, rounded down in the upper bound's factors 1 -
+    y and up in the lower's, until y <= 2^-bits; the factors left lie in [1 -
+    y/(1-a), 1].
     """
-    G = float(generalized_golden_ratio(N))
-    max_digit = (N + 1) // 2 + (0 if N % 2 == 1 else 1)
-    k = math.ceil(math.log(10 * max_digit / (1e-12 * (G - 1))) / math.log(G)) + 4
-    digits = generalized_tm_prefix(N, k)
+    c0, c1 = _thue_morse_coefficients(N, p, q)
+    one = 1 << bits
+    y_lo, y_hi = (p << bits) // q, -(-(p << bits) // q)
+    lo = hi = one  # lo <= one * prod(1 - a^(2^j), j < k) <= hi
+    while y_hi > 1:
+        lo, hi = lo * (one - y_hi) >> bits, -(-hi * (one - y_lo) >> bits)
+        y_lo, y_hi = y_lo * y_lo >> bits, -(-y_hi * y_hi >> bits)
+    lo -= -(-lo * y_hi * q // ((q - p) << bits))
+    if c0 * one > c1 * hi:
+        return 1
+    return -1 if c0 * one < c1 * lo else None
+
+
+def komornik_loreti(N: int) -> float:
+    """Critical base q_KL(N) rounded to nearest: the root of S(1/beta) = 1, S as in thue_morse_sign.
+
+    Bisection (bisect_root) on c0 - c1 P(1/beta) in floats, P's factors taken
+    until they round to 1, leaves float noise (1.24 ulp at N = 4); polish_root
+    then rounds to nearest by S's exact sign at 64 bits, far finer than a
+    float's spacing.
+    """
 
     def f(beta: float) -> float:
-        s = 0.0
-        for d in reversed(digits):
-            s = (s + d) / beta
-        return s - 1.0
+        x = 1.0 / beta
+        c0, c1 = _thue_morse_coefficients(N, x, 1.0)
+        P, y = 1.0, x
+        while 1.0 - y != 1.0:
+            P *= 1.0 - y
+            y *= y
+        return c0 - c1 * P
 
-    return bisect_root(f, G, float(N + 1))
+    beta = bisect_root(f, float(generalized_golden_ratio(N)), float(N + 1))
+    # beta lies below q_KL when 1/beta lies above 1/q_KL, where S(1/beta) > 1
+    return polish_root(beta, lambda n, d: thue_morse_sign(N, d, n, 64) == 1)
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -312,6 +346,20 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         if hi - lo <= 1e-16:
             break
     return 0.5 * (lo + hi)
+
+
+def polish_root(x: float, below: Callable[[int, int], bool]) -> float:
+    """The float nearest a root, stepping from x; below(n, d) says whether n/d lies below the root.
+
+    `below` must be exact: it is asked at floats and at the midpoint of the
+    two floats around the root.
+    """
+    up = below(*x.as_integer_ratio())
+    toward = math.inf if up else -math.inf
+    while below(*(step := math.nextafter(x, toward)).as_integer_ratio()) == up:
+        x = step
+    (n, d), (m, e) = x.as_integer_ratio(), step.as_integer_ratio()
+    return step if below(n * e + m * d, 2 * d * e) == up else x
 
 
 def reference_index(spec: str, prefix: str) -> int:

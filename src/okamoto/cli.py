@@ -75,9 +75,10 @@ def _json_text(v) -> str:
 def parse_a(text: str):
     """An exact rational, "a0tilde:N", or the reciprocal of a "kl:N"/"gr:N" base."""
     text = text.strip()
-    if text.startswith("a0tilde:"):
-        return spectrum.a0_tilde(betaexp.reference_index(text, "a0tilde:"))
-    if text.startswith(("kl:", "gr:")):
+    for prefix, threshold in (("a0tilde:", spectrum.a0_tilde), ("kl:", spectrum.a_inf_hat)):
+        if text.startswith(prefix):
+            return threshold(betaexp.reference_index(text, prefix))
+    if text.startswith("gr:"):
         beta = betaexp.resolve_beta(text)
         return Fraction(1, beta) if isinstance(beta, int) else 1.0 / beta
     return betaexp.parse_rational(text)
@@ -146,7 +147,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=str, default=None, help='sequence "d1 d2 (p1 p2)"')
     p.add_argument("--x", type=str, default=None)
     p.add_argument("--cap", type=int, default=10)
-    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--depth", type=int, default=None, help="default 40 for count, 20 for entropy")
     p.add_argument("--max-len", type=int, default=64)
     p.add_argument("--count", type=int, default=16, help="prefix length for tm/gtm")
 
@@ -266,6 +267,7 @@ def _cmd_beta(args, out: TextIO) -> None:
     if needed and getattr(args, needed) is None:
         raise DomainError(f"--{needed} is required for op {op!r}")
     beta = betaexp.resolve_beta(args.beta)
+    depth = {} if args.depth is None else {"depth": args.depth}  # else each op's own default
     if op == "pi":
         w = parse_omegaseq(args.w, args.N)
         emit_json({"op": op, "N": args.N, "beta": float(beta),
@@ -284,11 +286,11 @@ def _cmd_beta(args, out: TextIO) -> None:
                    "univoque": betaexp.is_univoque(w, args.N, beta)}, out)
     elif op == "count":
         x = betaexp.parse_rational(args.x)
-        c = betaexp.count_expansions(x, args.N, beta, args.cap, args.depth)
+        c = betaexp.count_expansions(x, args.N, beta, args.cap, **depth)
         emit_json({"op": op, "N": args.N, "beta": float(beta), "x": x,
                    "count": c.count, "at_least": c.saturated}, out)
     elif op == "entropy":
-        eb = betaexp.univoque_entropy_bounds(args.N, beta, args.depth)
+        eb = betaexp.univoque_entropy_bounds(args.N, beta, **depth)
         emit_json({"op": op, "N": args.N, "beta": float(beta),
                    **eb.to_json_obj()}, out)
 

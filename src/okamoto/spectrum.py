@@ -6,7 +6,8 @@ empty; below a_inf_hat the infinite-derivative set has positive dimension,
 above a_inf_star it is empty, with a countable regime in between.  Closed
 forms exist for a_min, a0_star and a_inf_star; a0_tilde and a_inf_hat are
 pinned down by bisection against their defining equations (monotonicity makes
-plain bisection robust; 200 iterations cap).
+plain bisection robust; 200 iterations cap), a_inf_hat then rounded to nearest
+by the exact sign of its Thue-Morse product (betaexp.thue_morse_sign).
 
 The dimension reports decide an int or Fraction a exactly against all five
 thresholds: the rational ones by comparison, the others by the sign of their
@@ -30,8 +31,9 @@ from .betaexp import (
     EntropyBounds,
     bisect_root,
     generalized_golden_ratio,
-    generalized_tm_prefix,
     komornik_loreti,
+    polish_root,
+    thue_morse_sign,
 )
 from .derivative import DerivativeTag
 from .errors import DomainError, ResourceError
@@ -41,11 +43,9 @@ ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
 # a step tests a candidate word (20-60 us per word of 6-14 digits) or keys one
 # point (1-5 us), so at most about 3 s at the cap (2-CPU x86, Python 3.11)
 ENUMERATION_WORK_CAP = 100_000
-# each doubling of the series' digits squares the resolution of a_inf_hat's
-# sign: 4096 digits resolve offsets down to about 1e-1000 (N = 1), and an a
-# that reaches the cap takes about 0.45 s (2-CPU x86, Python 3.11)
-A_INF_HAT_DIGIT_CAP = 4096
-FLOAT_SIGN_BAND = 1e-9  # a float series this far from 1 decides its sign
+# b bits resolve a to about 2^-b from a_inf_hat, so 2^16 cover every a of the CLI's
+# 4,300 digits; the doubling chain up to the cap takes about 0.12 s (2-CPU x86, Python 3.11)
+A_INF_HAT_BITS_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,11 @@ def a_inf_star(N: int) -> Number:
     return Fraction(1, G) if isinstance(G, int) else 1.0 / G
 
 
+def a_inf_hat(N: int) -> float:
+    """1/q_KL(N) rounded to nearest: 1/komornik_loreti(N) polished by the exact sign of S(a) - 1."""
+    return polish_root(1.0 / komornik_loreti(N), lambda n, d: thue_morse_sign(N, n, d, 64) == -1)
+
+
 def thresholds(N: int) -> Thresholds:
     """All five thresholds for one N; closed forms where they exist."""
     if N < 1:
@@ -120,7 +125,7 @@ def thresholds(N: int) -> Thresholds:
         a_min=Fraction(1, N + 1),
         a0_tilde=a0_tilde(N),
         a0_star=a0_star(N),
-        a_inf_hat=1.0 / komornik_loreti(N),
+        a_inf_hat=a_inf_hat(N),
         a_inf_star=a_inf_star(N),
     )
 
@@ -235,49 +240,25 @@ def _a0_tilde_order(N: int, a: Number) -> int | None:
 
 
 def _a_inf_hat_order(N: int, a: Number) -> int | None:
-    """Order of a against a_inf_hat; an exact a by the sign of sum(tau_i a^i) - 1.
+    """Order of a against a_inf_hat; an exact a by the sign of S(a) - 1.
 
-    tau is generalized_tm_prefix, so the series is pi_beta(tau) - 1 at beta =
-    1/a, increasing in a.  A float sum of 64 digits decides first outside
-    FLOAT_SIGN_BAND; callers ask only below a_inf_star <= 0.62, where 64
-    digits leave a tail far inside the band.  Otherwise the sum over k
-    digits is bounded below and above by Horner's rule in fixed point of k +
-    64 bits, rounded down from a rounded down and up from a rounded up; the
-    tail adds at most D a^(k+1)/(1-a), D the largest digit.  k doubles from
-    64 until the bracket excludes 1; past A_INF_HAT_DIGIT_CAP digits it
-    raises ResourceError.
+    S is the Thue-Morse series of betaexp.thue_morse_sign, increasing in a,
+    with S = 1 at a_inf_hat; its sign comes from a bracket of a product in
+    fixed point, whose bits double from 64 until the bracket decides.  Past
+    A_INF_HAT_BITS_CAP bits it raises ResourceError.
     """
     if not is_exact(a):
-        return compare(a, 1.0 / komornik_loreti(N))
-    top = (N + 1) // 2 + (N % 2 == 0)
-    af = float(a)
-    s = 0.0
-    for d in reversed(generalized_tm_prefix(N, 64)):
-        s = (s + d) * af
-    if s - 1 > FLOAT_SIGN_BAND:
-        return 1
-    if s + top * af**65 / (1 - af) - 1 < -FLOAT_SIGN_BAND:
-        return -1
+        return compare(a, a_inf_hat(N))
     p, q = Fraction(a).as_integer_ratio()
-    k = 64
-    while k <= A_INF_HAT_DIGIT_CAP:
-        bits = k + 64
-        one = 1 << bits
-        a_lo = (p << bits) // q
-        a_hi = a_lo + 1
-        lo, hi, power = 0, 0, one  # power >= one * a^i after i digits
-        for d in reversed(generalized_tm_prefix(N, k)):
-            lo = (lo + d * one) * a_lo >> bits
-            hi = -(-(hi + d * one) * a_hi >> bits)
-            power = -(-power * a_hi >> bits)
-        if lo > one:
-            return 1
-        if hi - (-top * power * a_hi // (one - a_hi)) < one:  # upper bound + tail < 1
-            return -1
-        k *= 2
+    bits = 64
+    while bits <= A_INF_HAT_BITS_CAP:
+        sign = thue_morse_sign(N, p, q, bits)
+        if sign is not None:
+            return sign
+        bits *= 2
     raise ResourceError(
-        f"deciding a = {af!r} ({len(str(q))}-digit denominator) against a_inf_hat for N={N} "
-        f"needs more than {A_INF_HAT_DIGIT_CAP} digits of its series (the cap)"
+        f"deciding a = {float(a)!r} ({len(str(q))}-digit denominator) against a_inf_hat for "
+        f"N={N} needs more than {A_INF_HAT_BITS_CAP} bits of fixed point (the cap)"
     )
 
 

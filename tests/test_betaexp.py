@@ -368,6 +368,34 @@ class TestCriticalBases:
             # the a_inf_hat column of the acceptance table is this oracle
             assert REFERENCE_TABLE[N][3] == round(float(1 / q), 4)
 
+    @pytest.mark.parametrize("N", [*range(1, 12), 32])
+    def test_nearest_float_to_a_60_digit_root(self, N):
+        # the oracle sums the digit series by Horner's rule; the package
+        # bisects a product identity for it, then rounds to nearest by its
+        # exact sign.  Float bisection alone was 1.24 ulp off at N = 4, and
+        # 1.0 / komornik_loreti(N) is 1.11 ulp off 1/q_KL at N = 2, 1.23 at N = 32
+        from okamoto import thresholds
+
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            m = N // 2
+            tau = [
+                m + (bin(i).count("1") % 2) - (0 if N % 2 else bin(i - 1).count("1") % 2)
+                for i in range(1, 421)
+            ]
+
+            def series(b):
+                s = 0
+                for d in reversed(tau):
+                    s = (s + d) / b
+                return s - 1
+
+            root = mp.findroot(series, (generalized_golden_ratio(N), N + 1), solver="anderson")
+            beta = komornik_loreti(N)
+            assert abs(mp.mpf(beta) - root) <= math.ulp(beta) / 2, (N, beta, root)
+            a = thresholds(N).a_inf_hat
+            assert abs(mp.mpf(a) - 1 / root) <= math.ulp(a) / 2, (N, a, 1 / root)
+
     def test_transition_brackets_the_critical_base(self):
         # second independent oracle: periodic univoque witnesses stall below
         # the critical base and grow above it

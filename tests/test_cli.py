@@ -106,6 +106,21 @@ class TestBetaVerb:
         obj = json.loads(out)
         assert obj["count"] == 1 and obj["at_least"] is False
 
+    def test_count_default_depth_is_40(self):
+        # 8 expansions survive 40 levels here, 7 survive 39 and 2 survive 20
+        argv = ["beta", "--op", "count", "--N", "1", "--beta", "1.9", "--x", "1/3",
+                "--cap", "100"]
+        code, out, _ = call(argv)
+        assert code == 0 and json.loads(out)["count"] == 8
+        assert call(argv + ["--depth", "40"]) == (0, out, "")
+
+    def test_entropy_default_depth_is_20(self):
+        argv = ["beta", "--op", "entropy", "--N", "1", "--beta", "1.9"]
+        code, out, err = call(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["depth"] == 20
+        assert call(argv + ["--depth", "20"]) == (0, out, "")
+
     def test_quasi_greedy(self):
         # the float golden ratio is expanded at its exact value, where
         # beta * r lands within roundoff of the digit boundary 1

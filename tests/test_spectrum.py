@@ -340,8 +340,11 @@ class TestExactThresholdDecisions:
             m = (N + 1) // 2 if N % 2 else N // 2
             tau = [m - 1 + t[i] if N % 2 else m + t[i] - t[i - 1] for i in range(1, n + 1)]
 
-            def series(x):
-                return mp.fsum(d * x**i for i, d in enumerate(tau, 1)) - 1
+            def series(x):  # Horner's rule over the digits
+                s = 0
+                for d in reversed(tau):
+                    s = (s + d) * x
+                return s - 1
 
             lo = mp.mpf(1) / (N + 1)
             star = mp.mpf(3 * N + 1) / ((N + 1) * (2 * N + 1))
@@ -389,26 +392,32 @@ class TestExactThresholdDecisions:
                     seen.add((zero, infinite))
             assert len(seen) == 2, (N, name)  # both sides of the root were reached
 
-    @pytest.mark.parametrize("N", [1, 2])
-    def test_a_inf_hat_at_200_digits(self, N):
-        # offsets of 10^-200 take the series' bracket to 1024 digits
+    @pytest.mark.parametrize("N,offset", [
+        pytest.param(1, F(1, 10**200), id="1"),
+        pytest.param(2, F(1, 10**200), id="2"),
+        pytest.param(1, F(3, 10**1000), id="1-3e-1000"),
+        pytest.param(2, F(3, 10**1000), id="2-3e-1000"),
+    ])
+    def test_a_inf_hat_at_200_digits(self, N, offset):
+        # offsets of 10^-200 take the product's bracket to 1024 bits, 3*10^-1000 to 4096
         mp = pytest.importorskip("mpmath")
-        roots = self.roots(N, dps=260)
-        root = F(mp.nstr(roots["a_inf_hat"], 250))
+        digits = len(str(offset.denominator))
+        roots = self.roots(N, dps=digits + 100)
+        root = F(mp.nstr(roots["a_inf_hat"], digits + 50))
         seen = set()
-        for a in (root - F(1, 10**200), root + F(1, 10**200)):
-            infinite = self.expected(roots, a, dps=260)[1]
+        for a in (root - offset, root + offset):
+            infinite = self.expected(roots, a, dps=digits + 100)[1]
             assert dim_infinite_set(N, a, depth=6).regime == infinite, (N, a)
             seen.add(infinite)
         assert seen == {"POSITIVE_DIM", "COUNTABLE_RATIONAL"}
 
     def test_digit_cap_raises_resource_error(self, monkeypatch):
-        # 64 digits bracket the series only to about 1e-16 at N = 1
+        # 64 bits bracket the series only to about 1e-18 at N = 1
         mp = pytest.importorskip("mpmath")
         a = F(mp.nstr(self.roots(1)["a_inf_hat"], 50)) + F(1, 10**25)
         assert dim_infinite_set(1, a).regime == "COUNTABLE_RATIONAL"
-        monkeypatch.setattr(spectrum, "A_INF_HAT_DIGIT_CAP", 64)
-        with pytest.raises(ResourceError, match="64 digits"):
+        monkeypatch.setattr(spectrum, "A_INF_HAT_BITS_CAP", 64)
+        with pytest.raises(ResourceError, match="64 bits"):
             dim_infinite_set(1, a)
         # a's float and its denominator's length, not all of its digits
         with pytest.raises(ResourceError, match="301-digit denominator") as err:
