@@ -141,25 +141,32 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     """Whether w projects to a point of the univoque set in base beta.
 
     Criterion: pi(shift^n(w)) < 1 and pi(shift^n(complement(w))) < 1 for all
-    n >= 0.  Only the shifts n < L+m are distinct, and one exact pass over w
-    (OmegaSeq.tail_sums) gives all their values; a complement's value is
-    N/(beta-1) minus the direct one.  Endpoint sequences (the constant 0 and
-    constant N sequences) fail the criterion by definition even though they
-    are the unique expansions of their values.  A float beta is taken at its
-    exact value; a tie (numdigits.compare) raises PrecisionError, unless some
-    shift fails the criterion outright.
+    n >= 0.  Only the shifts n < L+m are distinct.  With 1/beta = p/q at
+    beta's exact value, one integer roll (OmegaSeq.shift_numerators) gives
+    every pi(shift^n(w)) as U_n / E; a complement's value is K - U_n / E,
+    K = N/(beta-1) = N p/(q-p).  So both conditions read K-1 < U_n / E < 1,
+    and only the largest and the least U_n can fail: an exact beta is decided
+    by the integer signs of E - max U and k E + (q-p) min U, k = (q-p) - N p,
+    the two tests of derivative.check_infinite_conditions.
+    Endpoint sequences (the constant 0 and constant N sequences) fail the
+    criterion by definition even though they are the unique expansions of
+    their values.  A float beta builds the two Fractions that numdigits.compare
+    needs; a tie raises PrecisionError, unless some shift fails outright.
     """
     if w.N != N:
         raise DomainError(f"sequence alphabet N={w.N} does not match N={N}")
     if not (1 < beta <= N + 1):
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
-    bq = Fraction(beta)
-    K = Fraction(N) / (bq - 1)
-    values = w.tail_sums(*_projection_tables(N, bq))
-    # complement tail value is K - v, so both conditions read K-1 < v < 1;
-    # only the largest and the least value can fail or tie
-    inexact = not is_exact(beta)
-    signs = {compare(max(values), 1, inexact), compare(K - 1, min(values), inexact)}
+    q, p = Fraction(beta).as_integer_ratio()
+    U, E = w.shift_numerators(p, q)
+    hi, lo, gap = max(U), min(U), q - p
+    k = gap - N * p
+    if is_exact(beta):
+        return hi < E and k * E + gap * lo > 0
+    signs = {
+        compare(Fraction(hi, E), 1, True),
+        compare(Fraction(-k, gap), Fraction(lo, E), True),
+    }
     if signs - {-1, None}:
         return False  # definitive regardless of any tie
     if None in signs:

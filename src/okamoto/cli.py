@@ -270,29 +270,28 @@ def _cmd_beta(args, out: TextIO) -> None:
     depth = {} if args.depth is None else {"depth": args.depth}  # else each op's own default
     if op == "pi":
         w = parse_omegaseq(args.w, args.N)
-        emit_json({"op": op, "N": args.N, "beta": float(beta),
-                   "w": str(w), "value": float(betaexp.pi_beta(w, beta))}, out)
+        fields = {"w": str(w), "value": float(betaexp.pi_beta(w, beta))}
     elif op == "quasi-greedy":
         r = betaexp.quasi_greedy_one(args.N, beta, args.max_len)
-        emit_json({
-            "op": op, "N": args.N, "beta": float(beta),
+        fields = {
             "digits": list(r.digits),
             "seq": None if r.seq is None else str(r.seq),
             "truncated": r.truncated,
-        }, out)
+        }
     elif op == "univoque":
         w = parse_omegaseq(args.w, args.N)
-        emit_json({"op": op, "N": args.N, "beta": float(beta), "w": str(w),
-                   "univoque": betaexp.is_univoque(w, args.N, beta)}, out)
+        fields = {"w": str(w), "univoque": betaexp.is_univoque(w, args.N, beta)}
     elif op == "count":
         x = betaexp.parse_rational(args.x)
         c = betaexp.count_expansions(x, args.N, beta, args.cap, **depth)
-        emit_json({"op": op, "N": args.N, "beta": float(beta), "x": x,
-                   "count": c.count, "at_least": c.saturated}, out)
-    elif op == "entropy":
-        eb = betaexp.univoque_entropy_bounds(args.N, beta, **depth)
-        emit_json({"op": op, "N": args.N, "beta": float(beta),
-                   **eb.to_json_obj()}, out)
+        fields = {"x": x, "count": c.count, "at_least": c.saturated}
+    else:  # entropy
+        fields = betaexp.univoque_entropy_bounds(args.N, beta, **depth).to_json_obj()
+    try:  # after the op, so that its own domain error comes first
+        beta_float = float(beta)
+    except OverflowError:
+        raise ResourceError("beta is past float range") from None
+    emit_json({"op": op, "N": args.N, "beta": beta_float, **fields}, out)
 
 
 def _cmd_enumerate_dinf(args, out: TextIO) -> None:
@@ -340,25 +339,35 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        err.write(f"usage error: {exc}\n")
+        err.write(f"usage error: {_clip_digits(exc)}\n")
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         _COMMANDS[args.verb](args, out)
     except (DomainError, GridPointError) as exc:
-        err.write(f"domain error: {exc}\n")
+        err.write(f"domain error: {_clip_digits(exc)}\n")
         return 2
     except (PrecisionError, ConvergenceError) as exc:
-        err.write(f"precision error: {exc}\n")
+        err.write(f"precision error: {_clip_digits(exc)}\n")
         return 3
     except ResourceError as exc:
-        err.write(f"resource error: {exc}\n")
+        err.write(f"resource error: {_clip_digits(exc)}\n")
         return 4
     except OkamotoError as exc:
-        err.write(f"error: {exc}\n")
+        err.write(f"error: {_clip_digits(exc)}\n")
         return 2
     return 0
+
+
+def _clip_digits(exc: Exception) -> str:
+    """The message with each run of more than 60 digits shown by its ends and its length."""
+    import re  # on the error path only
+
+    def clip(run):
+        return f"{run[0][:24]}...{run[0][-12:]} ({len(run[0])} digits)"
+
+    return re.sub(r"\d{61,}", clip, str(exc))
 
 
 def main() -> None:

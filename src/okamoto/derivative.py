@@ -44,6 +44,49 @@ class DerivativeTag(enum.Enum):
     NOT_DIFFERENTIABLE = "NOT_DIFFERENTIABLE"
 
 
+class TailMargins:
+    """Exact (direct, complement) margin pairs of an a = p/q, on integers.
+
+    sums[r] / den is sum_{j>=1} a^j w_{r+j} (OmegaSeq.shift_numerators), so
+    the direct margin is (den - sums[r]) / den and the complement margin is
+    (k den + gap sums[r]) / (gap den), gap = q - p, k = gap - N p.  Reads as
+    the tuple of those (Fraction, Fraction) pairs: indexing, iteration, len,
+    ==, hash and repr all go through it, and each Fraction is built only when
+    read.
+    """
+
+    __slots__ = ("sums", "den", "k", "gap")  # a plain class: no dataclass cost at import
+
+    def __init__(self, sums: tuple[int, ...], den: int, k: int, gap: int):
+        self.sums, self.den, self.k, self.gap = sums, den, k, gap
+
+    def __len__(self) -> int:
+        return len(self.sums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        u, E = self.sums[i], self.den
+        return Fraction(E - u, E), Fraction(self.k * E + self.gap * u, self.gap * E)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def floats(self) -> list[list[float]]:
+        """Each pair as floats; int true division rounds as float(Fraction) does."""
+        E, kE, gE = self.den, self.k * self.den, self.gap * self.den
+        return [[(E - u) / E, (kE + self.gap * u) / gE] for u in self.sums]
+
+
 @dataclass(frozen=True)
 class DerivativeClass:
     """Verdict plus the evidence it was decided on.
@@ -51,39 +94,47 @@ class DerivativeClass:
     growth_factor is the per-period slope factor gamma; odd_digits is the
     total count of odd digits (math.inf when the period contains one);
     tail_margins holds the (direct, complement) margin pairs per residue
-    class when the all-even analysis ran, else None.
+    class when the all-even analysis ran, else None: a TailMargins for an
+    exact a, whose Fractions are built only when read, a tuple of float
+    pairs for a float a.
     """
 
     tag: DerivativeTag
     growth_factor: Number
     odd_digits: int | float
-    tail_margins: tuple[tuple[Number, Number], ...] | None
+    tail_margins: TailMargins | tuple[tuple[float, float], ...] | None
 
     def to_json_obj(self) -> dict:
         if self.growth_factor > sys.float_info.max:
             raise ResourceError("the growth factor gamma is past float range")
+        margins = self.tail_margins
         return {
             "tag": self.tag.value,
             "gamma": float(self.growth_factor),
             "M": "INFINITE" if self.odd_digits == math.inf else int(self.odd_digits),
-            "T_values": None
-            if self.tail_margins is None
-            else [[float(t), float(tb)] for t, tb in self.tail_margins],
+            "T_values": None if margins is None
+            else margins.floats() if isinstance(margins, TailMargins)
+            else [[float(t), float(tb)] for t, tb in margins],
         }
 
 
 def check_infinite_conditions(
     p: Params, w: OmegaSeq
-) -> tuple[bool, bool, tuple[tuple[Number, Number], ...]]:
+) -> tuple[bool, bool, TailMargins | tuple[tuple[float, float], ...]]:
     """Evaluate the two infinite-derivative tail conditions for w's period.
 
     For each residue class r of the period, the direct margin is
-    T_r = 1 - sum_{j>=1} a^j w_{r+j} = (1 - a - a w_{r+1}) + a T_{r+1}, and
-    the complement margin, which uses digits N - w instead, is
-    2 - N a/(1 - a) - T_r; one O(m) pass of OmegaSeq.tail_sums gives all T_r.
-    The first flag is true iff every direct margin is strictly positive, the
-    second for the complement margins.
-    Preperiod digits are irrelevant: the limits depend only on large indices.
+    T_r = 1 - sum_{j>=1} a^j w_{r+j} and the complement margin, which uses
+    digits N - w instead, is 2 - N a/(1 - a) - T_r.  The first flag is true
+    iff every direct margin is strictly positive, the second for the
+    complement margins.  Preperiod digits are irrelevant: the limits depend
+    only on large indices.
+
+    An exact a = p/q is decided on integers: one roll of
+    OmegaSeq.shift_numerators gives every sum_j a^j w_{r+j} as U_r / E, so
+    T_r = (E - U_r) / E and the complement margin is (k E + (q-p) U_r) /
+    ((q-p) E) with k = (q-p) - N p.  Both flags are signs of integers, and the
+    margins come back as TailMargins, whose Fractions are built only when read.
 
     A float a is taken at its exact value and its margins are summed at 50
     digits (decimal_tail_sums), compared with zero there (numdigits.compare;
@@ -92,22 +143,26 @@ def check_infinite_conditions(
     if w.N != p.N:
         raise DomainError(f"sequence alphabet N={w.N} does not match params N={p.N}")
     a = Fraction(p.a)
+    L = len(w.preperiod)
+    if is_exact(p.a):
+        num, den = a.numerator, a.denominator
+        U, E = w.shift_numerators(num, den)
+        U = tuple(U[L:])
+        gap = den - num
+        k = gap - p.N * num
+        return max(U) < E, k * E + gap * min(U) > 0, TailMargins(U, E, k, gap)
     u = 1 - a
     c = 2 - p.N * a / u  # direct plus complement margin, at every r
     term, ratio = [u - a * d for d in range(p.N + 1)], [a] * (p.N + 1)
-    L = len(w.preperiod)
-    if is_exact(p.a):
-        margins = [(t, c - t) for t in w.tail_sums(term, ratio)[L:]]
-    else:
-        with decimal_context():
-            c = Decimal(c.numerator) / c.denominator
-            margins = [(t, c - t) for t in w.decimal_tail_sums(term, ratio)[L:]]
-            # a tie at any residue raises; past it every margin's float has its exact sign
-            compare(min(abs(t) for pair in margins for t in pair), 0, what="a tail margin")
-        margins = [(float(t), float(tb)) for t, tb in margins]
+    with decimal_context():
+        c = Decimal(c.numerator) / c.denominator
+        margins = [(t, c - t) for t in w.decimal_tail_sums(term, ratio)[L:]]
+        # a tie at any residue raises; past it every margin's float has its exact sign
+        compare(min(abs(t) for pair in margins for t in pair), 0, what="a tail margin")
+    margins = tuple((float(t), float(tb)) for t, tb in margins)
     cond_direct = all(t > 0 for t, _ in margins)
     cond_comp = all(tb > 0 for _, tb in margins)
-    return cond_direct, cond_comp, tuple(margins)
+    return cond_direct, cond_comp, margins
 
 
 def classify_derivative(p: Params, d: DigitSeq) -> DerivativeClass:

@@ -3,12 +3,15 @@
 A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
 preperiod and a repeating period (DigitSeq); expansions in a base beta over
 {0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their
-tail_sums sums every shift in closed form in O(L+m) operations, for the tail
-margins and the univoque test; series_sum sums the sequence alone, for F's
-values and the projections in base beta, in Fractions or at DECIMAL_DIGITS
-digits.  Long division stops at EXPANSION_DIGIT_CAP digits.  The package's
-numeric policy is compare: int and Fraction inputs are decided exactly, a
-float within TIE_TOL of a strict boundary is a tie.
+shift_numerators sums every shift of sum_j a^j x_{n+j} for a rational a as
+integers over one denominator, in one O(L+m) roll, for the exact tail margins
+and the univoque test; tail_sums is the same roll in the arithmetic of its
+tables, and serves the 50-digit margins of a float a (decimal_tail_sums);
+series_sum sums the sequence alone, for F's values and the projections in
+base beta, in Fractions or at DECIMAL_DIGITS digits.  Long division stops at
+EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int and
+Fraction inputs are decided exactly, a float within TIE_TOL of a strict
+boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -144,6 +147,28 @@ class EventuallyPeriodic:
             d = word[n]
             s = sums[n] = term[d] + ratio[d] * s
         return sums
+
+    def shift_numerators(self, p: int, q: int) -> tuple[list[int], int]:
+        """Integers U_n over one denominator E with U_n / E = sum_{j>=1} a^j x_{n+j}.
+
+        a = p/q with 0 < p < q, n = 0..L+m-1 and E = q^L (q^m - p^m): the
+        tail_sums of term = d*a, ratio = a, on integers.  U_L is one Horner
+        pass over the period, sum_j x_{L+j} p^j q^{m-j}, times q^L; the roll
+        U_n = p (x_{n+1} E + U_{n+1}) / q divides exactly, so no step takes a gcd.
+        """
+        word = self.preperiod + self.period
+        L, m = len(self.preperiod), len(self.period)
+        s, pj = 0, 1
+        for d in self.period:
+            pj *= p
+            s = s * q + d * pj
+        E = q**L * (q**m - p**m)
+        u = s * q**L  # U_{L+m} = U_L
+        dE = [d * E for d in range(self.alphabet_size)]
+        U = [u] * len(word)
+        for n in reversed(range(len(word))):
+            u = U[n] = p * (dE[word[n]] + u) // q
+        return U, E
 
     def _period_sum(self, term, ratio):
         """S_L = block / (1 - g), g the product of ratio over the period (|g| < 1)."""

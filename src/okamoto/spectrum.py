@@ -364,7 +364,8 @@ class InfiniteSetEnumeration:
 
     For an all-even period 2w the two tail margins of the derivative are
     1 - pi_beta(shift^n w) and pi_beta(shift^n w) - (K - 1), K = N/(beta - 1):
-    exactly is_univoque's two conditions.  So every admissible w gives
+    exactly is_univoque's two conditions, and both read them off the one
+    integer roll OmegaSeq.shift_numerators.  So every admissible w gives
     F' = +-inf, and the sign is the parity of the prefix's odd digits.
     `rejected` is always empty; it stays so that the enumerate-dinf JSON
     keeps its shape.

@@ -263,6 +263,30 @@ class TestMalformedCalls:
         assert (code, out) == (2, "") and err.startswith("domain error")
         assert len(err) < 300 and "5001 digits" in err and "4300" in err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["beta", "--op", "count", "--N", "1", "--beta", "1e400", "--x", "0"], 4),
+        (["beta", "--op", "pi", "--N", "1", "--beta", "1e400", "--w", "(0 1)"], 4),
+        (["beta", "--op", "univoque", "--N", "1", "--beta", "1e400", "--w", "(0 1)"], 2),
+    ])
+    def test_beta_past_float_range(self, argv, code):
+        got, out, err = call(argv)
+        assert (got, out) == (code, "")
+        if code == 4:
+            assert err == "resource error: beta is past float range\n"
+        else:
+            assert err.startswith("domain error: beta must lie in (1, 2]") and "(401 digits)" in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["classify", "--N", "1", "--a", "1e-4000", "--x", "1/4"], 2),
+        (["beta", "--op", "pi", "--N", "1", "--beta", "1e-4000", "--w", "(1)"], 2),
+        (["eval", "--N", "1", "--a", "0.6", "--x", "1e-4000"], 4),
+        (["beta", "--op", "count", "--N", "1", "--beta", "1.5", "--x", "1e4000"], 2),
+    ])
+    def test_huge_exact_value_in_a_message_is_shown_by_its_ends(self, argv, code):
+        got, out, err = call(argv)
+        assert (got, out) == (code, "")
+        assert len(err) < 300 and "...000000000000 (4001 digits)" in err
+
     def test_non_integer_digit_is_a_domain_error(self):
         code, out, err = call(["beta", "--op", "univoque", "--N", "1", "--beta", "1.9", "--w", "(x)"])
         assert (code, out) == (2, "")

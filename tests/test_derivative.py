@@ -147,6 +147,30 @@ class TestGrowthFactorTie:
             assert abs(got - want) <= math.ulp(want), (N, a, str(d))
 
 
+class TestExactMargins:
+    """An exact a's margins are integers over two denominators, read as Fraction pairs."""
+
+    def test_json_margins_are_the_margins_rounded(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            N = rng.randint(1, 4)
+            den = rng.randint(N + 2, 3000)
+            a = Fraction(rng.randint(den // (N + 1) + 1, den - 1), den)
+            pre = tuple(rng.randrange(2 * N + 1) for _ in range(rng.randint(0, 5)))
+            per = tuple(2 * rng.randint(0, N) for _ in range(rng.randint(1, 40)))
+            if set(per) == {2 * N} or set(pre + per) == {0}:
+                continue
+            d = DigitSeq(N, pre, per)
+            v = classify_derivative(make_params(N, a), d)
+            margins = v.tail_margins
+            assert v.to_json_obj()["T_values"] == [[float(t), float(tb)] for t, tb in margins]
+            pairs = tuple(margins)
+            assert all(type(t) is Fraction for pair in pairs for t in pair)
+            assert len(margins) == len(d.period) and margins[-1] == pairs[-1]
+            assert margins == pairs and margins[1:] == pairs[1:]
+            assert hash(margins) == hash(pairs) and repr(margins) == repr(pairs)
+
+
 class TestClassificationBudget:
     def test_all_even_period_of_800_digits_with_exact_a(self):
         rng = random.Random(5)

@@ -412,6 +412,20 @@ class TestTailSums:
                 check_infinite_conditions(make_params(N, float(a)), w)
             assert ctx.prec == 7 and not any(ctx.flags.values())
 
+    def test_shift_numerators_over_one_denominator_are_the_tail_sums(self):
+        rng = random.Random(17)
+        for k in range(400):
+            N = rng.randint(1, 4)
+            w = random_omegaseq(rng, N, max_pre=5, max_per=40)
+            a = _random_fraction(rng, Fraction(1, N + 1), 1)
+            if k % 2:  # the exact value of a float a
+                a = Fraction(float(a))
+            U, E = w.shift_numerators(a.numerator, a.denominator)
+            L, m = len(w.preperiod), len(w.period)
+            assert E == a.denominator**L * (a.denominator**m - a.numerator**m)
+            sums = w.tail_sums(*_projection_tables(N, 1 / a))
+            assert [Fraction(u, E) for u in U] == sums, (N, a, str(w))
+
     def test_series_sum_is_the_first_tail_sum(self):
         rng = random.Random(16)
         for _ in range(300):
