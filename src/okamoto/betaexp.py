@@ -300,59 +300,64 @@ def thue_morse_sign(N: int, p: int, q: int, bits: int) -> int | None:
     return -1 if c0 * one < c1 * lo else None
 
 
-def komornik_loreti(N: int) -> float:
-    """Critical base q_KL(N) rounded to nearest: the root of S(1/beta) = 1, S as in thue_morse_sign.
+def thue_morse_root(N: int) -> float:
+    """The root a of S(a) = 1, S as in thue_morse_sign, to float noise: a_inf_hat = 1/q_KL(N).
 
-    Bisection (bisect_root) on c0 - c1 P(1/beta) in floats, P's factors taken
-    until they round to 1, leaves float noise (1.24 ulp at N = 4); polish_root
-    then rounds to nearest by S's exact sign at 64 bits, far finer than a
-    float's spacing.
+    Newton (newton_root) on c0 - c1 P(a), at q = 1 c0 = (N+1)a - 1 and c1 =
+    (1-a)^k, k = 2 - N mod 2.  The loop over P's factors 1 - y, y = a^(2^j),
+    also sums D = -a P'/P = sum(2^j y / (1 - y)), for the slope N + 1 + c1 P
+    (k/(1-a) + D/a).  S < 1 at 1/(N+1) and S > 1 at 1/G, G the generalized
+    golden ratio.
     """
+    k = 2 - N % 2
 
-    def f(beta: float) -> float:
-        x = 1.0 / beta
-        c0, c1 = _thue_morse_coefficients(N, x, 1.0)
-        P, y = 1.0, x
+    def f(a: float) -> tuple[float, float]:
+        c0, c1 = _thue_morse_coefficients(N, a, 1.0)
+        P, D, y, w = 1.0, 0.0, a, 1.0
         while 1.0 - y != 1.0:
             P *= 1.0 - y
+            D += w * y / (1.0 - y)
             y *= y
-        return c0 - c1 * P
+            w *= 2.0
+        return c0 - c1 * P, N + 1 + c1 * P * (k / (1.0 - a) + D / a)
 
-    beta = bisect_root(f, float(generalized_golden_ratio(N)), float(N + 1))
-    # beta lies below q_KL when 1/beta lies above 1/q_KL, where S(1/beta) > 1
-    return polish_root(beta, lambda n, d: thue_morse_sign(N, d, n, 64) == 1)
+    lo, hi = 1.0 / (N + 1), 1.0 / generalized_golden_ratio(N)
+    return newton_root(f, 0.5 * (lo + hi), lo, hi)
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection run down to floating-point collapse (200 iteration cap).
+def komornik_loreti(N: int) -> float:
+    """Critical base q_KL(N) rounded to nearest: 1/thue_morse_root(N), polished by S's exact sign.
 
-    It stops early only once the bracket is 1e-16 wide; the defining
-    functions here have steep slopes, so stopping at a wider interval would
-    leave residuals far above its width.
+    S is that of thue_morse_sign, at 64 bits: far finer than a float's spacing.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ConvergenceError(
-            f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16:
-            break
-    return 0.5 * (lo + hi)
+    # beta lies below q_KL when 1/beta lies above 1/q_KL, where S(1/beta) > 1
+    return polish_root(1.0 / thue_morse_root(N), lambda n, d: thue_morse_sign(N, d, n, 64) == 1)
+
+
+def newton_root(f: Callable[[float], tuple[float, float]], x0: float, lo: float, hi: float) -> float:
+    """The root of an increasing f on [lo, hi], f(x) = (value, slope), by Newton's method from x0.
+
+    Each point evaluated shrinks the sign bracket, and a step that leaves it
+    (or a zero slope) falls back to its midpoint.  It stops at a step of at
+    most one ulp, returning the stepped point, or when the bracket collapses.
+    Unless f(lo) < 0 < f(hi), or with no stop within 100 steps, it raises
+    ConvergenceError.
+    """
+    if not f(lo)[0] < 0 < f(hi)[0]:
+        raise ConvergenceError(f"no sign change from - to + on [{lo}, {hi}]")
+    x = x0
+    for _ in range(100):
+        v, s = f(x)
+        lo, hi = (lo, x) if v > 0 else (x, hi)
+        step = x - v / s if s else math.nan
+        if abs(step - x) <= math.ulp(x):  # also a zero of f at x
+            return step
+        if not lo < step < hi:  # also a NaN step
+            step = 0.5 * (lo + hi)
+            if step == lo or step == hi:
+                return step
+        x = step
+    raise ConvergenceError(f"no convergence within 100 steps on [{lo}, {hi}]")
 
 
 def polish_root(x: float, below: Callable[[int, int], bool]) -> float:

@@ -340,16 +340,22 @@ def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:
     L, q = 0, den
     while L <= EXPANSION_DIGIT_CAP and (g := math.gcd(q, B)) > 1:
         q, L = q // g, L + 1
+    # the period is a multiple of B's order mod q's 2-part, a power of two (B is odd) below
+    # that part: one above the cap's largest power of two puts the period past the cap
+    two = q & -q
+    cap = EXPANSION_DIGIT_CAP
+    if two > cap and pow(B, (1 << cap.bit_length()) >> 1, two) != 1:
+        cap = 0  # no division
     digits: list[int] = []
     r = num
-    for _ in range(min(L, EXPANSION_DIGIT_CAP)):
+    for _ in range(min(L, cap)):
         digit, r = divmod(r * B, den)
         digits.append(digit)
     if r == 0:
         return DigitSeq(N, tuple(digits), (0,))
     # the period is the first k > 0 with r_{L+k} = r_L, so only r_L is kept
     r_L = r
-    while len(digits) < EXPANSION_DIGIT_CAP:
+    while len(digits) < cap:
         digit, r = divmod(r * B, den)
         digits.append(digit)
         if r == r_L:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okamoto import (
+    ConvergenceError,
     DomainError,
     OmegaSeq,
     PrecisionError,
@@ -25,6 +26,7 @@ from okamoto import (
     thue_morse_prefix,
     univoque_entropy_bounds,
 )
+from okamoto.betaexp import newton_root
 
 from conftest import random_omegaseq, random_omegaseq_for_oracle
 
@@ -368,11 +370,11 @@ class TestCriticalBases:
             # the a_inf_hat column of the acceptance table is this oracle
             assert REFERENCE_TABLE[N][3] == round(float(1 / q), 4)
 
-    @pytest.mark.parametrize("N", [*range(1, 12), 32])
+    @pytest.mark.parametrize("N", [*range(1, 12), 32, 100, 1999])
     def test_nearest_float_to_a_60_digit_root(self, N):
         # the oracle sums the digit series by Horner's rule; the package
-        # bisects a product identity for it, then rounds to nearest by its
-        # exact sign.  Float bisection alone was 1.24 ulp off at N = 4, and
+        # solves a product identity for it in floats, then rounds to nearest
+        # by its exact sign.  A float root alone was 1.24 ulp off at N = 4, and
         # 1.0 / komornik_loreti(N) is 1.11 ulp off 1/q_KL at N = 2, 1.23 at N = 32
         from okamoto import thresholds
 
@@ -395,6 +397,32 @@ class TestCriticalBases:
             assert abs(mp.mpf(beta) - root) <= math.ulp(beta) / 2, (N, beta, root)
             a = thresholds(N).a_inf_hat
             assert abs(mp.mpf(a) - 1 / root) <= math.ulp(a) / 2, (N, a, 1 / root)
+
+    def test_newton_root_without_a_sign_change(self):
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            newton_root(lambda x: (x * x + 1, 2 * x), 0.5, 0.0, 1.0)
+
+    def test_newton_root_iteration_cap(self):
+        # a slope far too steep keeps every step inside the bracket and longer than an ulp
+        with pytest.raises(ConvergenceError, match="within 100 steps"):
+            newton_root(lambda x: (x - 1, 1e9), 0.5, 0.0, 2.0)
+
+    def test_newton_root_of_a_cubic_within_an_ulp(self):
+        r = newton_root(lambda x: (x**3 - 2, 3 * x * x), 1.5, 1.0, 2.0)
+        below, above = (Fraction(math.nextafter(r, t)) for t in (-math.inf, math.inf))
+        assert below**3 < 2 < above**3, r
+
+    def test_newton_root_falls_back_inside_the_bracket(self):
+        # from 5.0, 4.7 above the root, a plain Newton step on atan lands near -26.7
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.atan(x - 0.3), 1 / (1 + (x - 0.3) ** 2)
+
+        assert abs(newton_root(f, 5.0, -10.0, 10.0) - 0.3) <= math.ulp(0.3)
+        assert 5.0 - math.atan(4.7) * (1 + 4.7**2) < -10
+        assert all(-10.0 <= x <= 10.0 for x in seen), seen
 
     def test_transition_brackets_the_critical_base(self):
         # second independent oracle: periodic univoque witnesses stall below

@@ -162,6 +162,15 @@ class TestDigitsOfRational:
             digits_of_rational(1, 10**30, 1)
         assert len(digits_of_rational(1, 1009, 1).period) == 168
 
+    def test_a_two_power_period_past_the_cap_raises_before_dividing(self, monkeypatch):
+        # 3 has order 2^58 mod 2^60, so 1/2^60 has a base-3 period of 2^58 digits
+        def no_division(*args):
+            raise AssertionError("long division ran")
+
+        monkeypatch.setattr(numdigits, "divmod", no_division, raising=False)
+        with pytest.raises(ResourceError, match=f"runs past the cap of {numdigits.EXPANSION_DIGIT_CAP} digits"):
+            digits_of_rational(1, 2**60, 1)
+
     @staticmethod
     def dict_long_division(num, den, N):
         # reference: remember every remainder and stop at the first repeat
@@ -199,6 +208,7 @@ class TestDigitsOfRational:
         (1, 3**5, 1, 5),  # terminating: its preperiod alone counts
         (1, 2, 1, 1),  # period (1)
         (2, 5**3 * 7, 2, 3 + 6),
+        (1, 2**12, 1, 1024),  # 3 has order 2^10 mod 2^12: a cap of 1023 raises before dividing
     ])
     def test_cap_boundary(self, monkeypatch, num, den, N, n_digits):
         monkeypatch.setattr(numdigits, "EXPANSION_DIGIT_CAP", n_digits)

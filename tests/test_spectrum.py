@@ -61,6 +61,21 @@ class TestThresholds:
         for N in range(1, 11):
             assert abs(log_g(N, a0_tilde(N))) < 1e-10
 
+    def test_a0_tilde_within_an_ulp_of_a_60_digit_root(self):
+        # log g_N in its expanded form, solved on the whole bracket at 60 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for N in [*range(1, 61), 100, 500, 1000, 1999]:
+
+                def g(a):
+                    B = 2 * N + 1
+                    return B * mp.log(B) + (N + 1) * mp.log(a) + N * mp.log((N + 1) * a - 1) - N * mp.log(N)
+
+                lo = mp.mpf(1) / (N + 1)
+                root = mp.findroot(g, (lo * (1 + mp.mpf(10) ** -20), mp.mpf(1)), solver="anderson")
+                a = a0_tilde(N)
+                assert abs(mp.mpf(a) - root) <= math.ulp(a), (N, a, root)
+
     def test_critical_frequency_at_a0_tilde(self):
         for N in range(1, 7):
             t = thresholds(N)
