@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, PrecisionError, ResourceError
-from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact
+from .errors import ConvergenceError, DomainError, ResourceError
+from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact, tail_conditions
 
 DEFAULT_FRONTIER_CAP = 50_000_000
 QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 51 digits
@@ -145,36 +145,22 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     beta's exact value, one integer roll (OmegaSeq.shift_numerators) gives
     every pi(shift^n(w)) as U_n / E; a complement's value is K - U_n / E,
     K = N/(beta-1) = N p/(q-p).  So both conditions read K-1 < U_n / E < 1,
-    and only the largest and the least U_n can fail: an exact beta is decided
-    by the integer signs of E - max U and k E + (q-p) min U, k = (q-p) - N p,
-    the two tests of derivative.check_infinite_conditions.
-    Endpoint sequences (the constant 0 and constant N sequences) fail the
-    criterion by definition even though they are the unique expansions of
-    their values.  A float beta builds the two Fractions that numdigits.compare
-    needs; a tie raises PrecisionError, unless some shift fails outright.
+    the two tail conditions of derivative.check_infinite_conditions, which
+    numdigits.tail_conditions decides for both: by the signs of integers for
+    an exact beta, under the tie rule for a float one.  Endpoint sequences
+    (the constant 0 and constant N sequences) fail the criterion by
+    definition even though they are the unique expansions of their values.
     """
     if w.N != N:
         raise DomainError(f"sequence alphabet N={w.N} does not match N={N}")
     if not (1 < beta <= N + 1):
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
-    q, p = Fraction(beta).as_integer_ratio()
+    q, p = beta.as_integer_ratio()
     U, E = w.shift_numerators(p, q)
-    hi, lo, gap = max(U), min(U), q - p
-    k = gap - N * p
-    if is_exact(beta):
-        return hi < E and k * E + gap * lo > 0
-    signs = {
-        compare(Fraction(hi, E), 1, True),
-        compare(Fraction(-k, gap), Fraction(lo, E), True),
-    }
-    if signs - {-1, None}:
-        return False  # definitive regardless of any tie
-    if None in signs:
-        raise PrecisionError(
-            f"a projection value is within {TIE_TOL} of a strict boundary; "
-            "supply beta as an exact rational"
-        )
-    return True
+    gap = q - p
+    tie = (f"a projection value is within {TIE_TOL} of a strict boundary; "
+           "supply beta as an exact rational")
+    return all(tail_conditions(U, E, gap - N * p, gap, is_exact(beta), tie))
 
 
 @dataclass(frozen=True)
@@ -382,20 +368,25 @@ def reference_index(spec: str, prefix: str) -> int:
         raise DomainError(f"malformed reference {spec!r}") from None
 
 
-def resolve_beta(spec):
-    """Turn a beta specification into a number.
-
-    Accepts a number as-is; strings "kl:N" and "gr:N" resolve to the computed
-    critical base and generalized golden ratio; any other string is parsed as
-    an exact rational ("5/6", "1.9", "2").
-    """
+def resolve_reference(spec, references, what: str):
+    """A number as-is; fn(N) for a string "<prefix>N" of the (prefix, fn) table
+    `references`; else a string parsed as an exact rational ("5/6", "1.9", "2")."""
     if not isinstance(spec, str):
         return spec
     text = spec.strip()
-    for prefix, fn in (("kl:", komornik_loreti), ("gr:", generalized_golden_ratio)):
+    for prefix, fn in references:
         if text.startswith(prefix):
             return fn(reference_index(text, prefix))
-    return parse_rational(spec, "beta")
+    return parse_rational(spec, what)
+
+
+BETA_REFERENCES = (("kl:", komornik_loreti), ("gr:", generalized_golden_ratio))
+
+
+def resolve_beta(spec):
+    """A beta: a number, an exact rational, or the critical base "kl:N" or the
+    generalized golden ratio "gr:N" (BETA_REFERENCES)."""
+    return resolve_reference(spec, BETA_REFERENCES, "beta")
 
 
 def parse_rational(text: str, what: str = "rational") -> Fraction:

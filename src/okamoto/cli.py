@@ -72,33 +72,33 @@ def _json_text(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
+# a0tilde:N, and the reciprocals of --beta's kl:N and gr:N bases
+A_REFERENCES = (("a0tilde:", spectrum.a0_tilde), ("kl:", spectrum.a_inf_hat),
+                ("gr:", spectrum.a_inf_star))
+N_LIST_CAP = 100_000  # thresholds: about 57 us per N with its JSON row, 6 s here (2-CPU x86)
+
+
 def parse_a(text: str):
-    """An exact rational, "a0tilde:N", or the reciprocal of a "kl:N"/"gr:N" base."""
-    text = text.strip()
-    for prefix, threshold in (("a0tilde:", spectrum.a0_tilde), ("kl:", spectrum.a_inf_hat)):
-        if text.startswith(prefix):
-            return threshold(betaexp.reference_index(text, prefix))
-    if text.startswith("gr:"):
-        beta = betaexp.resolve_beta(text)
-        return Fraction(1, beta) if isinstance(beta, int) else 1.0 / beta
-    return betaexp.parse_rational(text)
+    """An exact rational, or a threshold reference of A_REFERENCES."""
+    return betaexp.resolve_reference(text.strip(), A_REFERENCES, "rational")
 
 
 def parse_n_range(text: str) -> list[int]:
-    out: list[int] = []
+    """The N of "3", "1..10" or "1,4,9", counted from their bounds before the list is built."""
+    ranges = []
     try:
         for part in text.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, dots, hi = part.partition("..")
+            ranges.append(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError:
         raise DomainError(f"bad N specification {text!r}") from None
-    if not out or any(n < 1 for n in out):
+    ranges = [r for r in ranges if r]
+    if not ranges or any(r.start < 1 for r in ranges):
         raise DomainError(f"bad N specification {text!r}")
-    return out
+    count = sum(r.stop - r.start for r in ranges)  # len() overflows past 2^63
+    if count > N_LIST_CAP:
+        raise ResourceError(f"--N names {count} values, past the cap of {N_LIST_CAP}")
+    return [n for r in ranges for n in r]
 
 
 def _build_parser() -> _Parser:

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError
 from .numdigits import (
+    TIE_TOL,
     DigitSeq,
     Number,
     OmegaSeq,
@@ -33,6 +34,7 @@ from .numdigits import (
     digits_of,
     is_exact,
     odd_total,
+    tail_conditions,
 )
 from .selfaffine import eval_F
 
@@ -94,15 +96,13 @@ class DerivativeClass:
     growth_factor is the per-period slope factor gamma; odd_digits is the
     total count of odd digits (math.inf when the period contains one);
     tail_margins holds the (direct, complement) margin pairs per residue
-    class when the all-even analysis ran, else None: a TailMargins for an
-    exact a, whose Fractions are built only when read, a tuple of float
-    pairs for a float a.
+    class at a's exact value when the all-even analysis ran, else None.
     """
 
     tag: DerivativeTag
     growth_factor: Number
     odd_digits: int | float
-    tail_margins: TailMargins | tuple[tuple[float, float], ...] | None
+    tail_margins: TailMargins | None
 
     def to_json_obj(self) -> dict:
         if self.growth_factor > sys.float_info.max:
@@ -112,15 +112,11 @@ class DerivativeClass:
             "tag": self.tag.value,
             "gamma": float(self.growth_factor),
             "M": "INFINITE" if self.odd_digits == math.inf else int(self.odd_digits),
-            "T_values": None if margins is None
-            else margins.floats() if isinstance(margins, TailMargins)
-            else [[float(t), float(tb)] for t, tb in margins],
+            "T_values": None if margins is None else margins.floats(),
         }
 
 
-def check_infinite_conditions(
-    p: Params, w: OmegaSeq
-) -> tuple[bool, bool, TailMargins | tuple[tuple[float, float], ...]]:
+def check_infinite_conditions(p: Params, w: OmegaSeq) -> tuple[bool, bool, TailMargins]:
     """Evaluate the two infinite-derivative tail conditions for w's period.
 
     For each residue class r of the period, the direct margin is
@@ -130,39 +126,22 @@ def check_infinite_conditions(
     complement margins.  Preperiod digits are irrelevant: the limits depend
     only on large indices.
 
-    An exact a = p/q is decided on integers: one roll of
+    a = p/q is taken at its exact value, a float's too: one roll of
     OmegaSeq.shift_numerators gives every sum_j a^j w_{r+j} as U_r / E, so
     T_r = (E - U_r) / E and the complement margin is (k E + (q-p) U_r) /
-    ((q-p) E) with k = (q-p) - N p.  Both flags are signs of integers, and the
+    ((q-p) E) with k = (q-p) - N p.  numdigits.tail_conditions gives the
+    flags: signs of integers for an exact a, the tie rule for a float.  The
     margins come back as TailMargins, whose Fractions are built only when read.
-
-    A float a is taken at its exact value and its margins are summed at 50
-    digits (decimal_tail_sums), compared with zero there (numdigits.compare;
-    a tie raises PrecisionError) and returned as floats.
     """
     if w.N != p.N:
         raise DomainError(f"sequence alphabet N={w.N} does not match params N={p.N}")
-    a = Fraction(p.a)
-    L = len(w.preperiod)
-    if is_exact(p.a):
-        num, den = a.numerator, a.denominator
-        U, E = w.shift_numerators(num, den)
-        U = tuple(U[L:])
-        gap = den - num
-        k = gap - p.N * num
-        return max(U) < E, k * E + gap * min(U) > 0, TailMargins(U, E, k, gap)
-    u = 1 - a
-    c = 2 - p.N * a / u  # direct plus complement margin, at every r
-    term, ratio = [u - a * d for d in range(p.N + 1)], [a] * (p.N + 1)
-    with decimal_context():
-        c = Decimal(c.numerator) / c.denominator
-        margins = [(t, c - t) for t in w.decimal_tail_sums(term, ratio)[L:]]
-        # a tie at any residue raises; past it every margin's float has its exact sign
-        compare(min(abs(t) for pair in margins for t in pair), 0, what="a tail margin")
-    margins = tuple((float(t), float(tb)) for t, tb in margins)
-    cond_direct = all(t > 0 for t, _ in margins)
-    cond_comp = all(tb > 0 for _, tb in margins)
-    return cond_direct, cond_comp, margins
+    num, den = p.a.as_integer_ratio()
+    U, E = w.shift_numerators(num, den)
+    U = tuple(U[len(w.preperiod):])
+    gap = den - num
+    k = gap - p.N * num
+    tie = f"a tail margin lies within {TIE_TOL} of 0; supply an exact rational"
+    return *tail_conditions(U, E, k, gap, is_exact(p.a), tie), TailMargins(U, E, k, gap)
 
 
 def classify_derivative(p: Params, d: DigitSeq) -> DerivativeClass:

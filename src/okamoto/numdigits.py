@@ -4,14 +4,15 @@ A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
 preperiod and a repeating period (DigitSeq); expansions in a base beta over
 {0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their
 shift_numerators sums every shift of sum_j a^j x_{n+j} for a rational a as
-integers over one denominator, in one O(L+m) roll, for the exact tail margins
-and the univoque test; tail_sums is the same roll in the arithmetic of its
-tables, and serves the 50-digit margins of a float a (decimal_tail_sums);
-series_sum sums the sequence alone, for F's values and the projections in
-base beta, in Fractions or at DECIMAL_DIGITS digits.  Long division stops at
-EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int and
-Fraction inputs are decided exactly, a float within TIE_TOL of a strict
-boundary is a tie.
+integers over one denominator, in one O(L+m) roll, and tail_conditions reads
+the tail margins of F' = +-inf and the univoque test off those integers, at
+a's exact value whether a is given exactly or as a float; tail_sums is the
+same roll in the arithmetic of its tables, the reference that the tests
+check the other sums against; series_sum sums the sequence alone, for F's
+values and the projections in base beta, in Fractions or at DECIMAL_DIGITS
+digits.  Long division stops at EXPANSION_DIGIT_CAP digits.  The package's
+numeric policy is compare: int and Fraction inputs are decided exactly, a
+float within TIE_TOL of a strict boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -64,9 +65,25 @@ def compare(x, bound, inexact: bool = False, what: str | None = None) -> int | N
     return None
 
 
-def _decimal_tables(term, ratio):
-    """Fraction tables with each entry rounded once to a Decimal in the current context."""
-    return ([Decimal(q.numerator) / q.denominator for q in t] for t in (term, ratio))
+def tail_conditions(sums, E: int, k: int, gap: int, exact: bool, tie: str) -> tuple[bool, bool]:
+    """The two tail conditions on the integers of one shift_numerators roll.
+
+    With a = p/q, gap = q - p and k = gap - N p, sums[n] / E is sum_{j>=1}
+    a^j x_{n+j}; the direct margin (E - sums[n]) / E and the complement margin
+    (k E + gap sums[n]) / (gap E) must be strictly positive for every n.  Only
+    the largest and the least sums can fail, so the flags read hi = E - max
+    and lo = k E + gap min.  An exact a is decided by their signs.  Otherwise
+    hi / E and lo / (gap E) meet compare's tie band: a condition that fails
+    outright decides, and a tie beside it reads False; a tie with no failure
+    raises PrecisionError with the message `tie`.
+    """
+    hi, lo = E - max(sums), k * E + gap * min(sums)
+    if exact:
+        return hi > 0, lo > 0
+    signs = compare(hi / E, 0, True), compare(lo / (gap * E), 0, True)
+    if None in signs and -1 not in signs:
+        raise PrecisionError(tie)
+    return signs[0] == 1, signs[1] == 1
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -138,7 +155,9 @@ class EventuallyPeriodic:
         the distinct values.  The period's sum is taken once in closed form
         (_period_sum) and rolled backwards through the period and the
         preperiod: O(L+m) operations in the arithmetic of term and ratio, so
-        Fractions give exact values and floats give floats.
+        Fractions give exact values and floats give floats.  The package
+        itself calls shift_numerators and series_sum; this plain roll is the
+        reference the tests hold them to.
         """
         word = self.preperiod + self.period
         s = self._period_sum(term, ratio)  # S_{L+m} = S_L
@@ -155,6 +174,8 @@ class EventuallyPeriodic:
         tail_sums of term = d*a, ratio = a, on integers.  U_L is one Horner
         pass over the period, sum_j x_{L+j} p^j q^{m-j}, times q^L; the roll
         U_n = p (x_{n+1} E + U_{n+1}) / q divides exactly, so no step takes a gcd.
+        A q = 2^t, the denominator of every float's exact value, divides by a
+        shift: a multi-digit // costs about three times as much.
         """
         word = self.preperiod + self.period
         L, m = len(self.preperiod), len(self.period)
@@ -166,8 +187,11 @@ class EventuallyPeriodic:
         u = s * q**L  # U_{L+m} = U_L
         dE = [d * E for d in range(self.alphabet_size)]
         U = [u] * len(word)
+        t = q.bit_length() - 1
+        two = q == 1 << t
         for n in reversed(range(len(word))):
-            u = U[n] = p * (dE[word[n]] + u) // q
+            v = p * (dE[word[n]] + u)
+            u = U[n] = v >> t if two else v // q
         return U, E
 
     def _period_sum(self, term, ratio):
@@ -198,20 +222,16 @@ class EventuallyPeriodic:
             s, den = T[d] * den + R[d] * s, den * Q
         return Fraction(s, den)
 
-    def decimal_tail_sums(self, term, ratio) -> list[Decimal]:
-        """tail_sums of exact (Fraction) tables, at DECIMAL_DIGITS digits.
+    def decimal_series_sum(self, term, ratio) -> Decimal:
+        """series_sum of exact (Fraction) tables, at DECIMAL_DIGITS digits.
 
         Each entry is rounded once to a Decimal and every operation runs in
         decimal_context().  1 - g cancels about -log10(1 - g) digits, so while
         1 - g > 1e-30 a result rounded to a float is the exact sum rounded once.
         """
         with decimal_context():
-            return self.tail_sums(*_decimal_tables(term, ratio))
-
-    def decimal_series_sum(self, term, ratio) -> Decimal:
-        """series_sum of exact tables at DECIMAL_DIGITS digits, as decimal_tail_sums."""
-        with decimal_context():
-            return self.series_sum(*_decimal_tables(term, ratio))
+            return self.series_sum(*([Decimal(v.numerator) / v.denominator for v in t]
+                                     for t in (term, ratio)))
 
     def __str__(self) -> str:
         head = " ".join(str(d) for d in self.preperiod)

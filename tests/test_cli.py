@@ -8,7 +8,8 @@ import time
 import pytest
 
 import okamoto
-from okamoto.cli import run
+from okamoto import ResourceError
+from okamoto.cli import N_LIST_CAP, parse_n_range, run
 
 
 def call(argv):
@@ -359,6 +360,21 @@ class TestResourceCaps:
             x = okamoto.DigitSeq(1, (), period).value()
             code, out, err = call(["classify", "--N", "1", "--a", a, "--x", str(x)])
             assert (code, out) == (4, "") and "gamma" in err, a
+
+    @pytest.mark.parametrize("verb", ["thresholds", "asymptotics"])
+    def test_n_list_past_the_cap_exits_4(self, verb):
+        # the values are counted from the bounds: a list of 10^12 ints would take about 36 TB
+        t0 = time.perf_counter()
+        code, out, err = call([verb, "--N", f"1..{10**12}"])
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (4, "") and err.startswith("resource error")
+        assert str(10**12) in err and str(N_LIST_CAP) in err
+
+    def test_n_list_cap_counts_every_part(self):
+        assert len(parse_n_range(f"1..{N_LIST_CAP}")) == N_LIST_CAP
+        assert parse_n_range(f"9..3,{N_LIST_CAP}") == [N_LIST_CAP]  # an empty range counts 0
+        with pytest.raises(ResourceError):
+            parse_n_range(f"1..{N_LIST_CAP},1")
 
     def test_quasi_greedy_digit_cap(self):
         argv = ["beta", "--op", "quasi-greedy", "--N", "1", "--beta", "19/10", "--max-len"]

@@ -16,6 +16,7 @@ from okamoto import (
     critical_frequency,
     digits_of,
     finite_difference_probe,
+    is_univoque,
     make_params,
     odd_liminf_frequency,
     thresholds,
@@ -82,6 +83,20 @@ class TestInfiniteConditions:
         with pytest.raises(PrecisionError):
             check_infinite_conditions(p, OmegaSeq(1, (), (0, 1)))
 
+    def test_a_tie_beside_an_outright_failure_reads_false(self):
+        # a float next to the root of a^3 + a - 1: the last direct margin of the
+        # period (0 0 1) is 1.8e-16, a tie, but every complement margin fails
+        # outright, so the verdict is that of the exact value, as in is_univoque
+        a = 0.6823278038280193
+        d, w = DigitSeq(1, (), (0, 0, 2)), OmegaSeq(1, (), (0, 0, 1))
+        c7, c8, margins = check_infinite_conditions(make_params(1, a), w)
+        assert (c7, c8) == (False, False)
+        assert max(tb for _, tb in margins) < -0.1 and 0 < margins[2][0] < 1e-12
+        v = classify_derivative(make_params(1, a), d)
+        assert v.tag == DerivativeTag.NOT_DIFFERENTIABLE
+        assert v.tag == classify_derivative(make_params(1, Fraction(a)), d).tag
+        assert not is_univoque(w, 1, 1 / a)
+
     def test_float_margins_within_one_ulp_of_exact(self):
         # a float a is decided at its exact value, up to 1 - 1e-6
         rng = random.Random(7)
@@ -90,7 +105,7 @@ class TestInfiniteConditions:
             a = 1 - 10.0 ** -rng.uniform(0.5, 6) if k % 2 else rng.uniform(1 / (N + 1), 0.9)
             per = tuple(2 * rng.randint(0, N) for _ in range(rng.randint(50, 200)))
             d = DigitSeq(N, (1,), per)
-            got = classify_derivative(make_params(N, a), d).tail_margins
+            got = classify_derivative(make_params(N, a), d).to_json_obj()["T_values"]
             exact = classify_derivative(make_params(N, Fraction(a)), d).tail_margins
             for pair, exact_pair in zip(got, exact):
                 for t, e in zip(pair, exact_pair):
@@ -180,6 +195,16 @@ class TestClassificationBudget:
         v = classify_derivative(make_params(1, A058), d)
         assert time.perf_counter() - t0 < 5
         assert len(v.tail_margins) == 800
+
+    def test_all_even_period_of_800_digits_with_float_a(self):
+        # a float a rolls the integers of its exact value, over a 53-bit denominator
+        rng = random.Random(5)
+        d = DigitSeq(1, (1,), tuple(2 * rng.randrange(2) for _ in range(800)))
+        t0 = time.perf_counter()
+        v = classify_derivative(make_params(1, 0.58), d)
+        assert time.perf_counter() - t0 < 5
+        assert len(v.tail_margins) == 800
+        assert v.tag == classify_derivative(make_params(1, Fraction(0.58)), d).tag
 
 
 class TestClassifierProperties:
