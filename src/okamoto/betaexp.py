@@ -30,6 +30,9 @@ from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact, tail_condit
 
 DEFAULT_FRONTIER_CAP = 50_000_000
 QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 51 digits
+# b bits resolve a to about 2^-b from a_inf_hat, so 2^16 cover every a of the CLI's
+# 4,300 digits; the doubling chain up to the cap takes about 0.12 s (2-CPU x86, Python 3.11)
+A_INF_HAT_BITS_CAP = 1 << 16
 
 
 def pi_beta(w: OmegaSeq, beta) -> Number:
@@ -286,6 +289,28 @@ def thue_morse_sign(N: int, p: int, q: int, bits: int) -> int | None:
     return -1 if c0 * one < c1 * lo else None
 
 
+def thue_morse_order(N: int, p: int, q: int) -> int:
+    """Sign of S(p/q) - 1 by thue_morse_sign, its bits doubling from 64 until it decides.
+
+    64 bits leave undecided a p/q where |S - 1| is below about 2^-64: the
+    integer beta = (N+3)/2 next to q_KL(N) for odd N from about 10^7, and
+    points near the root at N of every size (with 64 bits alone,
+    komornik_loreti rounded the wrong way at 4 of 10,000 seeded N below
+    10^6, N = 1123 among them).  Past A_INF_HAT_BITS_CAP bits it raises
+    ResourceError.
+    """
+    bits = 64
+    while bits <= A_INF_HAT_BITS_CAP:
+        sign = thue_morse_sign(N, p, q, bits)
+        if sign is not None:
+            return sign
+        bits *= 2
+    raise ResourceError(
+        f"deciding a = {p / q!r} ({len(str(q))}-digit denominator) against a_inf_hat for "
+        f"N={N} needs more than {A_INF_HAT_BITS_CAP} bits of fixed point (the cap)"
+    )
+
+
 def thue_morse_root(N: int) -> float:
     """The root a of S(a) = 1, S as in thue_morse_sign, to float noise: a_inf_hat = 1/q_KL(N).
 
@@ -293,7 +318,11 @@ def thue_morse_root(N: int) -> float:
     (1-a)^k, k = 2 - N mod 2.  The loop over P's factors 1 - y, y = a^(2^j),
     also sums D = -a P'/P = sum(2^j y / (1 - y)), for the slope N + 1 + c1 P
     (k/(1-a) + D/a).  S < 1 at 1/(N+1) and S > 1 at 1/G, G the generalized
-    golden ratio.
+    golden ratio; 1/G lies within a relative 2/N of the root, so past N of
+    about 10^16 the float 1/G can round below it, and the bracket ends 2^-50
+    above that float.  c0 and c1 P cancel there, but f's rounding error of
+    about 2^-52 over its slope, about N, moves the root by about an ulp of
+    a, which polish_root corrects.
     """
     k = 2 - N % 2
 
@@ -308,16 +337,16 @@ def thue_morse_root(N: int) -> float:
         return c0 - c1 * P, N + 1 + c1 * P * (k / (1.0 - a) + D / a)
 
     lo, hi = 1.0 / (N + 1), 1.0 / generalized_golden_ratio(N)
-    return newton_root(f, 0.5 * (lo + hi), lo, hi)
+    return newton_root(f, 0.5 * (lo + hi), lo, hi * (1.0 + 2.0**-50))
 
 
 def komornik_loreti(N: int) -> float:
     """Critical base q_KL(N) rounded to nearest: 1/thue_morse_root(N), polished by S's exact sign.
 
-    S is that of thue_morse_sign, at 64 bits: far finer than a float's spacing.
+    S is that of thue_morse_sign, its sign read by thue_morse_order.
     """
     # beta lies below q_KL when 1/beta lies above 1/q_KL, where S(1/beta) > 1
-    return polish_root(1.0 / thue_morse_root(N), lambda n, d: thue_morse_sign(N, d, n, 64) == 1)
+    return polish_root(1.0 / thue_morse_root(N), lambda n, d: thue_morse_order(N, d, n) == 1)
 
 
 def newton_root(f: Callable[[float], tuple[float, float]], x0: float, lo: float, hi: float) -> float:

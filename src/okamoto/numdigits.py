@@ -6,13 +6,13 @@ preperiod and a repeating period (DigitSeq); expansions in a base beta over
 shift_numerators sums every shift of sum_j a^j x_{n+j} for a rational a as
 integers over one denominator, in one O(L+m) roll, and tail_conditions reads
 the tail margins of F' = +-inf and the univoque test off those integers, at
-a's exact value whether a is given exactly or as a float; tail_sums is the
-same roll in the arithmetic of its tables, the reference that the tests
-check the other sums against; series_sum sums the sequence alone, for F's
-values and the projections in base beta, in Fractions or at DECIMAL_DIGITS
-digits.  Long division stops at EXPANSION_DIGIT_CAP digits.  The package's
-numeric policy is compare: int and Fraction inputs are decided exactly, a
-float within TIE_TOL of a strict boundary is a tie.
+a's exact value whether a is given exactly or as a float; series_sum sums
+the sequence alone, for F's values and the projections in base beta, in
+Fractions or at DECIMAL_DIGITS digits.  Params keeps the (N, a) pair and
+builds the tables of F's digit series once per object.  Long division stops
+at EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int
+and Fraction inputs are decided exactly, a float within TIE_TOL of a strict
+boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -25,7 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError, ResourceError
 
@@ -38,6 +40,12 @@ TIE_TOL = 1e-12  # an approximate value this near a strict boundary is a tie
 def decimal_context():
     """A with-block running Decimal arithmetic in a fresh DECIMAL_DIGITS context."""
     return localcontext(Context(prec=DECIMAL_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def decimal_tables(*tables) -> tuple[list[Decimal], ...]:
+    """Exact (int or Fraction) tables, each entry rounded once to DECIMAL_DIGITS digits."""
+    with decimal_context():
+        return tuple([Decimal(v.numerator) / v.denominator for v in t] for t in tables)
 
 
 def is_exact(v) -> bool:
@@ -147,33 +155,14 @@ class EventuallyPeriodic:
     def digits(self, n: int) -> list[int]:
         return [self.digit(i) for i in range(1, n + 1)]
 
-    def tail_sums(self, term, ratio) -> list:
-        """S_n = term[x_{n+1}] + ratio[x_{n+1}] * S_{n+1} for n = 0..L+m-1.
-
-        term and ratio are indexed by digit.  S_n is the sum over the n-th
-        shift of the sequence, and shift L+m equals shift L, so these are all
-        the distinct values.  The period's sum is taken once in closed form
-        (_period_sum) and rolled backwards through the period and the
-        preperiod: O(L+m) operations in the arithmetic of term and ratio, so
-        Fractions give exact values and floats give floats.  The package
-        itself calls shift_numerators and series_sum; this plain roll is the
-        reference the tests hold them to.
-        """
-        word = self.preperiod + self.period
-        s = self._period_sum(term, ratio)  # S_{L+m} = S_L
-        sums = [s] * len(word)
-        for n in reversed(range(len(word))):
-            d = word[n]
-            s = sums[n] = term[d] + ratio[d] * s
-        return sums
-
     def shift_numerators(self, p: int, q: int) -> tuple[list[int], int]:
         """Integers U_n over one denominator E with U_n / E = sum_{j>=1} a^j x_{n+j}.
 
-        a = p/q with 0 < p < q, n = 0..L+m-1 and E = q^L (q^m - p^m): the
-        tail_sums of term = d*a, ratio = a, on integers.  U_L is one Horner
-        pass over the period, sum_j x_{L+j} p^j q^{m-j}, times q^L; the roll
-        U_n = p (x_{n+1} E + U_{n+1}) / q divides exactly, so no step takes a gcd.
+        a = p/q with 0 < p < q, n = 0..L+m-1 and E = q^L (q^m - p^m): U_n / E
+        is the sum over the n-th shift, and shift L+m equals shift L, so these
+        are all the distinct values.  U_L is one Horner pass over the period,
+        sum_j x_{L+j} p^j q^{m-j}, times q^L; the roll U_n = p (x_{n+1} E +
+        U_{n+1}) / q divides exactly, so no step takes a gcd.
         A q = 2^t, the denominator of every float's exact value, divides by a
         shift: a multi-digit // costs about three times as much.
         """
@@ -204,9 +193,10 @@ class EventuallyPeriodic:
         return block / (1 - math.prod(ratio[d] ** k for d, k in Counter(per).items()))
 
     def series_sum(self, term, ratio):
-        """S_0 of tail_sums alone: _period_sum carried back through the preperiod
-        by Horner's rule, with no roll.  Exact (int or Fraction) tables run on
-        integers T = term*Q, R = ratio*Q over Q^m - prod R, Q their denominators' lcm."""
+        """S_0 = term[x_1] + ratio[x_1] * S_1, the sum over the whole sequence:
+        _period_sum carried back through the preperiod by Horner's rule.  Exact
+        (int or Fraction) tables run on integers T = term*Q, R = ratio*Q over
+        Q^m - prod R, Q their denominators' lcm."""
         if not all(map(is_exact, (*term, *ratio))):
             s = self._period_sum(term, ratio)
             for d in reversed(self.preperiod):
@@ -225,13 +215,13 @@ class EventuallyPeriodic:
     def decimal_series_sum(self, term, ratio) -> Decimal:
         """series_sum of exact (Fraction) tables, at DECIMAL_DIGITS digits.
 
-        Each entry is rounded once to a Decimal and every operation runs in
-        decimal_context().  1 - g cancels about -log10(1 - g) digits, so while
-        1 - g > 1e-30 a result rounded to a float is the exact sum rounded once.
+        Each entry is rounded once to a Decimal (decimal_tables) and every
+        operation runs in decimal_context().  1 - g cancels about -log10(1 - g)
+        digits, so while 1 - g > 1e-30 a result rounded to a float is the exact
+        sum rounded once.
         """
         with decimal_context():
-            return self.series_sum(*([Decimal(v.numerator) / v.denominator for v in t]
-                                     for t in (term, ratio)))
+            return self.series_sum(*decimal_tables(term, ratio))
 
     def __str__(self) -> str:
         head = " ".join(str(d) for d in self.preperiod)
@@ -310,17 +300,54 @@ class OmegaSeq(EventuallyPeriodic):
         return self.N + 1
 
 
+class SeriesTables(NamedTuple):
+    """F's digit-series tables at a's exact value: the part of F(x) that does not depend on x.
+
+    F(x) = term[x_1] + ratio[x_1] F(sigma x): term holds the generator's y_i
+    (Params.ys) and ratio is a for an even digit and -b for an odd one, in
+    Fractions at a's exact value; the per-period factor has modulus a^e b^o <
+    1.  decimal is (term, ratio) rounded by decimal_tables, the tables that
+    decimal_series_sum would build; a is a's exact value.
+    """
+
+    term: tuple[Fraction, ...]
+    ratio: tuple[Fraction, ...]
+    decimal: tuple[list[Decimal], ...]
+    a: Fraction
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated parameter pair (N, a) with the derived slope parameter b.
 
     b solves (N+1)a - Nb = 1, so 0 < b < a < 1 on the admissible range.
     a (and hence b) may be a Fraction for exact work or a float.
+    series_tables, F's digit-series tables, is built on first use and kept on
+    the object for every later x; it is not a field, so ==, hash and repr see
+    (N, a, b) only.  Two threads may both build it, with equal results.
     """
 
     N: int
     a: Number
     b: Number
+
+    @property
+    def ys(self) -> tuple[Number, ...]:
+        """The generator's y_{2j} = j(a-b) and y_{2j+1} = (j+1)a - jb, j = 0..N, in a's type."""
+        a, b = self.a, self.b
+        return tuple(y for j in range(self.N + 1) for y in (j * (a - b), (j + 1) * a - j * b))
+
+    @cached_property
+    def series_tables(self) -> SeriesTables:
+        """series_tables(self), computed once per object."""
+        return series_tables(self)
+
+
+def series_tables(p: Params) -> SeriesTables:
+    """The SeriesTables of p; a float a is taken at its exact value, make_params(N, Fraction(a))."""
+    q = p if is_exact(p.a) else make_params(p.N, Fraction(p.a))
+    term, ratio = q.ys, tuple(q.a if i % 2 == 0 else -q.b for i in range(2 * q.N + 1))
+    return SeriesTables(term, ratio, decimal_tables(term, ratio), q.a)
 
 
 def make_params(N: int, a: Number) -> Params:
@@ -328,7 +355,10 @@ def make_params(N: int, a: Number) -> Params:
 
     Raises DomainError unless N >= 1 and 1/(N+1) < a < 1; values of a at or
     below 1/(N+1) give a Cantor-type or singular function and are out of scope.
-    A float a gives the b of its exact value rounded once.
+    A float a gives the b of its exact value rounded once.  F's digit-series
+    tables (Params.series_tables) are left to the first evaluation: most
+    callers validate (N, a) and evaluate no F.  Build one Params per (N, a)
+    and evaluate every point with it, so that they are built once.
     """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")

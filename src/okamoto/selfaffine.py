@@ -16,7 +16,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DomainError, GridPointError, PrecisionError, ResourceError
-from .numdigits import DigitSeq, Number, Params, digits_of, is_exact, make_params, odd_count_prefix
+from .numdigits import (
+    DigitSeq,
+    Number,
+    Params,
+    decimal_context,
+    digits_of,
+    is_exact,
+    odd_count_prefix,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +48,7 @@ class GeneratorPattern:
 
 def generator_pattern(p: Params) -> GeneratorPattern:
     B = 2 * p.N + 1
-    return GeneratorPattern(xs=tuple(Fraction(i, B) for i in range(B + 1)), ys=_pattern_ys(p))
-
-
-def _pattern_ys(p: Params) -> tuple[Number, ...]:
-    """The y_i of generator_pattern without its Fraction abscissae."""
-    return tuple(y for j in range(p.N + 1) for y in (j * (p.a - p.b), (j + 1) * p.a - j * p.b))
+    return GeneratorPattern(xs=tuple(Fraction(i, B) for i in range(B + 1)), ys=p.ys)
 
 
 def eval_fn(p: Params, n: int, x: Number) -> Number:
@@ -59,7 +62,7 @@ def eval_fn(p: Params, n: int, x: Number) -> Number:
     if not (0 <= x <= 1):
         raise DomainError(f"x must lie in [0,1], got {x}")
     B = 2 * p.N + 1
-    ys = generator_pattern(p).ys
+    ys = p.ys
     offset: Number = 0 * x  # matches the arithmetic type of x
     scale: Number = 1
     t = x
@@ -72,46 +75,42 @@ def eval_fn(p: Params, n: int, x: Number) -> Number:
     return offset + scale * t
 
 
-def _series_tables(p: Params) -> tuple[tuple[Number, ...], list[Number]]:
-    """Digit-indexed (term, ratio) tables of F's digit series.
-
-    F(x) = y_{x_1} + r_{x_1} * F(sigma x), with r = a for an even digit and
-    -b for an odd one; the per-period factor has modulus a^e * b^o < 1.
-    """
-    ratio = [p.a if xi % 2 == 0 else -p.b for xi in range(2 * p.N + 1)]
-    return _pattern_ys(p), ratio
-
-
 def eval_F(p: Params, d: DigitSeq) -> float:
     """Value of F at the point represented by d, as a float.
 
     The result lies within one ulp of float(eval_F_exact(q, d)), with
     q = make_params(N, Fraction(a)) at a's exact value: the series is summed
-    in closed form at 50 digits (DigitSeq.decimal_series_sum), then rounded.
-    A rational a within NEAR_ONE = 1e-30 of 1, far nearer than any float,
-    raises PrecisionError: 1 - a^m would cancel too many of those digits.
+    in closed form at 50 digits (DigitSeq.series_sum of the tables that
+    decimal_series_sum builds), then rounded.  A rational a within NEAR_ONE =
+    1e-30 of 1, far nearer than any float, raises PrecisionError: 1 - a^m
+    would cancel too many of those digits.  The tables depend on (N, a) alone
+    and are built at p's first call (Params.series_tables), so points that
+    share one p share one build.
     """
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    q = p if is_exact(p.a) else make_params(p.N, Fraction(p.a))
-    if 1 - q.a < NEAR_ONE:
+    s = p.series_tables
+    if 1 - s.a < NEAR_ONE:
         raise PrecisionError(
             f"a lies within {float(NEAR_ONE)} of 1; use eval_F_exact for its exact value"
         )
-    return float(d.decimal_series_sum(*_series_tables(q)))
+    with decimal_context():
+        return float(d.series_sum(*s.decimal))
 
 
 def eval_F_exact(p: Params, d: DigitSeq) -> Fraction:
     """Exact value of F at an eventually periodic point, for rational a.
 
     The digit series is summed in closed form over one period, on integers
-    over one shared denominator (DigitSeq.series_sum).
+    over one shared denominator (DigitSeq.series_sum), from the Fraction
+    tables that p builds once for every point (Params.series_tables).
     """
     if not is_exact(p.a):
         raise DomainError("eval_F_exact requires a rational slope parameter a")
     if d.N != p.N:
         raise DomainError(f"digit sequence has N={d.N}, params have N={p.N}")
-    return d.series_sum(*_series_tables(p))
+    s = p.series_tables
+    return d.series_sum(s.term, s.ratio)
 
 
 def eval_F_rational(p: Params, x: Fraction) -> float:
@@ -171,7 +170,7 @@ def sample_graph(p: Params, depth: int) -> GraphSample:
         raise ResourceError(
             f"(2N+1)^depth = {npts - 1} grid cells exceed the cap of {GRAPH_POINT_CAP}"
         )
-    ys_pat = [float(v) for v in generator_pattern(p).ys]
+    ys_pat = [float(v) for v in p.ys]
     vals = np.array([0.0, 1.0])
     for _ in range(depth):
         parts = []

@@ -8,7 +8,7 @@ forms exist for a_min, a0_star and a_inf_star; a0_tilde and a_inf_hat are
 roots of increasing functions with closed-form slopes, found by safeguarded
 Newton steps (betaexp.newton_root) inside a sign bracket, a_inf_hat then
 rounded to nearest by the exact sign of its Thue-Morse product
-(betaexp.thue_morse_sign).
+(betaexp.thue_morse_order).
 
 The dimension reports decide an int or Fraction a exactly against all five
 thresholds: the rational ones by comparison, the others by the sign of their
@@ -33,8 +33,8 @@ from .betaexp import (
     generalized_golden_ratio,
     newton_root,
     polish_root,
+    thue_morse_order,
     thue_morse_root,
-    thue_morse_sign,
 )
 from .derivative import DerivativeTag
 from .errors import DomainError, ResourceError
@@ -44,9 +44,6 @@ ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
 # a step tests a candidate word (20-60 us per word of 6-14 digits) or keys one
 # point (1-5 us), so at most about 3 s at the cap (2-CPU x86, Python 3.11)
 ENUMERATION_WORK_CAP = 100_000
-# b bits resolve a to about 2^-b from a_inf_hat, so 2^16 cover every a of the CLI's
-# 4,300 digits; the doubling chain up to the cap takes about 0.12 s (2-CPU x86, Python 3.11)
-A_INF_HAT_BITS_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ def a_inf_star(N: int) -> Number:
 
 def a_inf_hat(N: int) -> float:
     """1/q_KL(N) rounded to nearest: thue_morse_root(N) polished by the exact sign of S(a) - 1."""
-    return polish_root(thue_morse_root(N), lambda n, d: thue_morse_sign(N, n, d, 64) == -1)
+    return polish_root(thue_morse_root(N), lambda n, d: thue_morse_order(N, n, d) == -1)
 
 
 def thresholds(N: int) -> Thresholds:
@@ -253,22 +250,13 @@ def _a_inf_hat_order(N: int, a: Number) -> int | None:
 
     S is the Thue-Morse series of betaexp.thue_morse_sign, increasing in a,
     with S = 1 at a_inf_hat; its sign comes from a bracket of a product in
-    fixed point, whose bits double from 64 until the bracket decides.  Past
-    A_INF_HAT_BITS_CAP bits it raises ResourceError.
+    fixed point, whose bits double from 64 until the bracket decides
+    (betaexp.thue_morse_order).  Past betaexp.A_INF_HAT_BITS_CAP bits it
+    raises ResourceError.
     """
     if not is_exact(a):
         return compare(a, a_inf_hat(N))
-    p, q = Fraction(a).as_integer_ratio()
-    bits = 64
-    while bits <= A_INF_HAT_BITS_CAP:
-        sign = thue_morse_sign(N, p, q, bits)
-        if sign is not None:
-            return sign
-        bits *= 2
-    raise ResourceError(
-        f"deciding a = {float(a)!r} ({len(str(q))}-digit denominator) against a_inf_hat for "
-        f"N={N} needs more than {A_INF_HAT_BITS_CAP} bits of fixed point (the cap)"
-    )
+    return thue_morse_order(N, *Fraction(a).as_integer_ratio())
 
 
 def _a_inf_star_order(N: int, a: Number) -> int | None:

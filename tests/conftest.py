@@ -39,6 +39,22 @@ def random_omegaseq(
         return w
 
 
+def tail_sums(seq, term, ratio) -> list:
+    """S_n = term[x_{n+1}] + ratio[x_{n+1}] * S_{n+1} for n = 0..L+m-1, seq's L+m distinct shifts.
+
+    The period's sum is taken once in closed form (_period_sum) and rolled
+    backwards through the period and the preperiod, in the arithmetic of term
+    and ratio: the plain roll that shift_numerators and series_sum are held to.
+    """
+    word = seq.preperiod + seq.period
+    s = seq._period_sum(term, ratio)  # S_{L+m} = S_L
+    sums = [s] * len(word)
+    for n in reversed(range(len(word))):
+        d = word[n]
+        s = sums[n] = term[d] + ratio[d] * s
+    return sums
+
+
 def random_proper_fraction(rng: random.Random, max_den: int = 10**6) -> Fraction:
     den = rng.randrange(2, max_den)
     num = rng.randrange(1, den)

@@ -370,12 +370,14 @@ class TestCriticalBases:
             # the a_inf_hat column of the acceptance table is this oracle
             assert REFERENCE_TABLE[N][3] == round(float(1 / q), 4)
 
-    @pytest.mark.parametrize("N", [*range(1, 12), 32, 100, 1999])
+    @pytest.mark.parametrize("N", [*range(1, 12), 32, 100, 1123, 1999, 70531])
     def test_nearest_float_to_a_60_digit_root(self, N):
         # the oracle sums the digit series by Horner's rule; the package
         # solves a product identity for it in floats, then rounds to nearest
         # by its exact sign.  A float root alone was 1.24 ulp off at N = 4, and
-        # 1.0 / komornik_loreti(N) is 1.11 ulp off 1/q_KL at N = 2, 1.23 at N = 32
+        # 1.0 / komornik_loreti(N) is 1.11 ulp off 1/q_KL at N = 2, 1.23 at N = 32.
+        # At N = 1123 and 70531 the root lies so near a float midpoint that 64
+        # bits of the sign could not tell, and q_KL was rounded the wrong way
         from okamoto import thresholds
 
         mp = pytest.importorskip("mpmath")

@@ -68,6 +68,14 @@ class TestThresholds:
         obj = json.loads(out)
         assert obj[0]["N"] == 2 and abs(obj[0]["a_inf_star"] - 0.5) < 1e-15
 
+    def test_a_inf_hat_at_n_1e20(self):
+        # 1e17 and up exited 3: no sign change of the float Thue-Morse function
+        t0 = time.perf_counter()
+        code, out, err = call(["thresholds", "--N", str(10**20)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0, err
+        assert abs(10**20 * json.loads(out)[0]["a_inf_hat"] - 2) < 1e-3
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self):

@@ -30,9 +30,13 @@ from okamoto import (
 from okamoto import numdigits
 from okamoto.betaexp import _projection_tables
 from okamoto.numdigits import parse_digitseq, parse_omegaseq
-from okamoto.selfaffine import _series_tables
 
-from conftest import random_digitseq, random_omegaseq
+from conftest import random_digitseq, random_omegaseq, tail_sums
+
+
+def _series_tables(p):
+    """F's (term, ratio) tables at a's exact value."""
+    return p.series_tables.term, p.series_tables.ratio
 
 
 class TestMakeParams:
@@ -371,7 +375,7 @@ class TestTailSums:
             w = random_omegaseq(rng, N, max_pre=5, max_per=12)
             beta = _random_fraction(rng, 1, N + 1)
             inv = 1 / beta
-            sums = w.tail_sums([d * inv for d in range(N + 1)], [inv] * (N + 1))
+            sums = tail_sums(w, [d * inv for d in range(N + 1)], [inv] * (N + 1))
             assert len(sums) == len(w.preperiod) + len(w.period)
             refs = [_reference_pi(shift(w, n), beta) for n in range(len(sums))]
             assert sums == refs
@@ -402,8 +406,8 @@ class TestTailSums:
             N = rng.randint(1, 4)
             w = random_omegaseq(rng, N, max_pre=5, max_per=12)
             a = _random_fraction(rng, Fraction(1, N + 1), Fraction(9, 10))
-            exact = w.tail_sums(range(N + 1), [a] * (N + 1))
-            approx = w.tail_sums(range(N + 1), [float(a)] * (N + 1))
+            exact = tail_sums(w, range(N + 1), [a] * (N + 1))
+            approx = tail_sums(w, range(N + 1), [float(a)] * (N + 1))
             assert all(type(v) is float for v in approx)
             assert all(abs(v - float(e)) <= 1e-12 * (1 + abs(e)) for v, e in zip(approx, exact))
 
@@ -417,7 +421,7 @@ class TestTailSums:
                 w = random_omegaseq(rng, N, max_pre=5, max_per=12)
                 a = _random_fraction(rng, Fraction(1, N + 1), 1)
                 term, ratio = [a * d for d in range(N + 1)], [a] * (N + 1)
-                e = w.tail_sums(term, ratio)[0]
+                e = tail_sums(w, term, ratio)[0]
                 assert abs(Fraction(w.decimal_series_sum(term, ratio)) - e) <= (1 + abs(e)) / 10**47
                 # a float a's F and gamma run at 50 digits, in their own context
                 pf, d = make_params(N, float(a)), random_digitseq(rng, N, max_pre=5, max_per=12)
@@ -436,7 +440,7 @@ class TestTailSums:
             U, E = w.shift_numerators(a.numerator, a.denominator)
             L, m = len(w.preperiod), len(w.period)
             assert E == a.denominator**L * (a.denominator**m - a.numerator**m)
-            sums = w.tail_sums(*_projection_tables(N, 1 / a))
+            sums = tail_sums(w, *_projection_tables(N, 1 / a))
             assert [Fraction(u, E) for u in U] == sums, (N, a, str(w))
 
     def test_series_sum_is_the_first_tail_sum(self):
@@ -449,7 +453,7 @@ class TestTailSums:
             beta = _random_fraction(rng, 1, N + 1)
             # F's signed tables (ratio -b for odd digits) and pi_beta's 1/beta ones
             for seq, tables in ((d, _series_tables(p)), (w, _projection_tables(N, beta))):
-                first = seq.tail_sums(*tables)[0]
+                first = tail_sums(seq, *tables)[0]
                 assert seq.series_sum(*tables) == first
                 assert abs(Fraction(seq.decimal_series_sum(*tables)) - first) <= abs(first) / 10**47
                 floats = [[float(v) for v in t] for t in tables]
@@ -467,19 +471,19 @@ class TestTailSums:
             # the values before series_sum: S_0 read from tail_sums, a float a
             # taken at its exact value
             pf = make_params(N, float(p.a))
-            F = d.tail_sums(*_series_tables(p))[0]
+            F = tail_sums(d, *_series_tables(p))[0]
             with numdigits.decimal_context():
-                Ff = [float(d.tail_sums(*([decimal.Decimal(v.numerator) / v.denominator for v in t]
-                                          for t in _series_tables(make_params(N, Fraction(q.a)))))[0])
+                Ff = [float(tail_sums(d, *([decimal.Decimal(v.numerator) / v.denominator for v in t]
+                                           for t in _series_tables(make_params(N, Fraction(q.a)))))[0])
                       for q in (p, pf)]
-            pi = w.tail_sums(*_projection_tables(N, beta))[0]
-            pif = w.tail_sums(*_projection_tables(N, float(beta)))[0]
+            pi = tail_sums(w, *_projection_tables(N, beta))[0]
+            pif = tail_sums(w, *_projection_tables(N, float(beta)))[0]
             cases.append((p, pf, d, w, beta, F, Ff, pi, pif))
 
         def rolled(*args):
-            raise AssertionError("tail_sums called for S_0 alone")
+            raise AssertionError("shift_numerators called for S_0 alone")
 
-        monkeypatch.setattr(numdigits.EventuallyPeriodic, "tail_sums", rolled)
+        monkeypatch.setattr(numdigits.EventuallyPeriodic, "shift_numerators", rolled)
         for p, pf, d, w, beta, F, Ff, pi, pif in cases:
             assert eval_F_exact(p, d) == F
             assert [eval_F(p, d), eval_F(pf, d)] == Ff

@@ -12,6 +12,7 @@ from okamoto import (
     DigitSeq,
     DomainError,
     GridPointError,
+    Params,
     ResourceError,
     box_dimension,
     digits_of,
@@ -24,6 +25,7 @@ from okamoto import (
     sample_graph,
     slope_fn,
 )
+from okamoto import numdigits
 
 from conftest import random_digitseq, random_proper_fraction
 
@@ -134,6 +136,71 @@ class TestEvalF:
                 x = Fraction(j, M)
                 fn_val = float(eval_fn(p, depth, x))
                 assert abs(eval_F_rational(p, x) - fn_val) <= 10 * TOL
+
+
+class TestSeriesTablesPerParams:
+    """F's digit-series tables are built once per Params and read by every point."""
+
+    @pytest.mark.parametrize("a", [Fraction(29, 50), 0.58])
+    def test_one_build_for_28_points(self, monkeypatch, a):
+        built, series_tables = [], numdigits.series_tables
+
+        def counting(p):
+            built.append(p)
+            return series_tables(p)
+
+        monkeypatch.setattr(numdigits, "series_tables", counting)
+        rng = random.Random(28)
+        p = make_params(2, a)
+        for _ in range(28):
+            d = random_digitseq(rng, 2, max_pre=3, max_per=20)
+            eval_F(p, d)
+            if isinstance(a, Fraction):
+                eval_F_exact(p, d)
+            else:
+                with pytest.raises(DomainError):
+                    eval_F_exact(p, d)
+        assert built == [p]
+
+    @pytest.mark.parametrize("a", [Fraction(29, 50), 0.58])
+    def test_built_params_equal_a_fresh_one(self, a):
+        p, fresh = make_params(1, a), make_params(1, a)
+        eval_F(p, digits_of(Fraction(1, 4), 1))
+        assert "series_tables" in vars(p) and "series_tables" not in vars(fresh)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert repr(p) == f"Params(N=1, a={a!r}, b={p.b!r})"
+
+    def test_no_table_crosses_from_an_equal_exact_params(self):
+        # the float 0.75 and the Fraction 3/4 give equal Params with equal hashes
+        exact, flt = make_params(1, Fraction(3, 4)), make_params(1, 0.75)
+        assert exact == flt and hash(exact) == hash(flt)
+        d = digits_of(Fraction(1, 4), 1)
+        assert eval_F_exact(exact, d) == Fraction(3, 7)
+        assert eval_F(exact, d) == eval_F(flt, d)
+        with pytest.raises(DomainError):
+            eval_F_exact(flt, d)
+        assert flt.series_tables is not exact.series_tables
+
+    def test_reused_params_agree_with_a_fresh_one_per_point(self):
+        rng = random.Random(500)
+        shared = {}
+        for k in range(500):
+            N = 1 + k % 4
+            if N not in shared:
+                lo = Fraction(1, N + 1)
+                a = lo + (1 - lo) * Fraction(rng.randint(1, 999), 1000)
+                shared[N] = make_params(N, a), make_params(N, float(a))
+            d = random_digitseq(rng, N, max_pre=5, max_per=40)
+            for p in shared[N]:
+                fresh = make_params(N, p.a)
+                assert eval_F(p, d) == eval_F(fresh, d), (N, p.a, str(d))
+                if isinstance(p.a, Fraction):
+                    assert eval_F_exact(p, d) == eval_F_exact(fresh, d), (N, p.a, str(d))
+
+    def test_hand_built_float_params_is_validated_at_its_first_point(self):
+        # a float a's exact value goes through make_params, as at every call before
+        with pytest.raises(DomainError):
+            eval_F(Params(1, 0.25, -0.5), digits_of(Fraction(1, 4), 1))
 
 
 class TestSlopes:

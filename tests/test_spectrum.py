@@ -76,6 +76,26 @@ class TestThresholds:
                 a = a0_tilde(N)
                 assert abs(mp.mpf(a) - root) <= math.ulp(a), (N, a, root)
 
+    def test_a_inf_hat_at_powers_of_ten(self):
+        # at N = 10^k a_inf_hat is the nearest float to a 60-digit root of the
+        # series, and N a_inf_hat = 2 - 8/N + 40/N^2 - 208/N^3 + ... (even N)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for k in range(1, 21):
+                N, m = 10**k, 10**k // 2
+                tau = [m + bin(i).count("1") % 2 - bin(i - 1).count("1") % 2 for i in range(1, 80)]
+
+                def series(a):
+                    s = 0
+                    for d in reversed(tau):
+                        s = (s + d) * a
+                    return s - 1
+
+                root = mp.findroot(series, (mp.mpf(1) / (N + 1), mp.mpf(1) / (m + 1)), solver="anderson")
+                a = thresholds(N).a_inf_hat
+                assert abs(mp.mpf(a) - root) <= math.ulp(a) / 2, (N, a, root)
+                assert abs(N * a - (2 - 8 / N + 40 / N**2)) <= 250 / N**3 + 1e-15, (N, a)
+
     def test_critical_frequency_at_a0_tilde(self):
         for N in range(1, 7):
             t = thresholds(N)
@@ -431,7 +451,7 @@ class TestExactThresholdDecisions:
         mp = pytest.importorskip("mpmath")
         a = F(mp.nstr(self.roots(1)["a_inf_hat"], 50)) + F(1, 10**25)
         assert dim_infinite_set(1, a).regime == "COUNTABLE_RATIONAL"
-        monkeypatch.setattr(spectrum, "A_INF_HAT_BITS_CAP", 64)
+        monkeypatch.setattr(betaexp, "A_INF_HAT_BITS_CAP", 64)
         with pytest.raises(ResourceError, match="64 bits"):
             dim_infinite_set(1, a)
         # a's float and its denominator's length, not all of its digits
