@@ -14,7 +14,8 @@ at beta's exact value too; only an integer beta gives a periodic one.
 
 All operations are pure.  The word counting in univoque_entropy_bounds grows
 admissible prefixes one digit at a time, so its cost follows the surviving
-words rather than all (N+1)^d of them.
+words rather than all (N+1)^d of them, and it grows them in blocks of one
+size, so its memory stays within that block's.
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def generalized_golden_ratio(N: int) -> int | float:
     if N % 2 == 0:
         return N // 2 + 1
     m = (N + 1) // 2
-    return (m + math.sqrt(m * m + 4 * m)) / 2
+    try:
+        return (m + math.sqrt(m * m + 4 * m)) / 2
+    except OverflowError:  # m^2 passes float range from N of about 10^154
+        raise ResourceError(f"the generalized golden ratio for N={N} is past float range") from None
 
 
 def _thue_morse_coefficients(N: int, p, q) -> tuple:
@@ -336,7 +340,10 @@ def thue_morse_root(N: int) -> float:
             w *= 2.0
         return c0 - c1 * P, N + 1 + c1 * P * (k / (1.0 - a) + D / a)
 
-    lo, hi = 1.0 / (N + 1), 1.0 / generalized_golden_ratio(N)
+    try:
+        lo, hi = 1.0 / (N + 1), 1.0 / generalized_golden_ratio(N)
+    except OverflowError:  # N + 1 past float range, from N of about 10^308
+        raise ResourceError(f"thue_morse_root for N={N} is past float range") from None
     return newton_root(f, 0.5 * (lo + hi), lo, hi * (1.0 + 2.0**-50))
 
 
@@ -448,91 +455,40 @@ class EntropyBounds:
         return {"depth": self.depth, "lower": self.lower, "upper": self.upper}
 
 
-def _suffix_automaton(N: int, alpha: list[int], n_states: int):
-    """KMP-style automaton tracking the longest tight match against alpha.
-
-    Returns (cap, delta): cap[L] is the largest next digit allowed when the
-    longest current match has length L (the minimum of alpha over the border
-    chain); delta[L, c] is the next match length.
-    """
-    import numpy as np
-
-    fail = [0] * (n_states + 1)
-    k = 0
-    for i in range(1, n_states):
-        while k and alpha[i] != alpha[k]:
-            k = fail[k]
-        if alpha[i] == alpha[k]:
-            k += 1
-        fail[i + 1] = k
-    cap = np.zeros(n_states, dtype=np.int32)
-    cap[0] = alpha[0]
-    for L in range(1, n_states):
-        cap[L] = min(alpha[L], cap[fail[L]])
-    delta = np.zeros((n_states, N + 1), dtype=np.int32)
-    for L in range(n_states):
-        for c in range(N + 1):
-            j = L
-            while j and alpha[j] != c:
-                j = fail[j]
-            delta[L, c] = j + 1 if alpha[j] == c else 0
-    return cap, delta
-
-
 def _pair_automaton(N: int, alpha: list[int], d: int):
-    """The suffix automaton run on a word and on its complement in lockstep.
+    """KMP automata of the longest tight match against alpha, run on a word and its complement.
 
-    Returns (step, dead).  A state (Lw, Lb) holds both match lengths and is
-    stored as s = (Lw * (2d+1) + Lb) * (N+1), so that step[s + c] is the
-    state after digit c.  A digit above cap[Lw], or whose complement N - c is
-    above cap[Lb], leads to `dead`, which is absorbing.  A match length grows
-    by at most one per digit, so the 2d digits of w.w read only rows below
-    2d; the successors of row 2d, which may lie past the table, are never used.
+    fail[L] is the longest proper border of alpha[:L]; cap[L] is the largest
+    digit allowed after a match of length L (the least of alpha over its
+    border chain); delta[L][c] is the match length after digit c.  All three
+    are plain lists.  Returns (step, dead): a pair state (Lw, Lb) holds the
+    match lengths of the word and of its complement and is stored as s = (Lw
+    * (2d+1) + Lb) * (N+1), so that step[s + c] is the state after digit c.
+    A digit above cap[Lw], or whose complement N - c is above cap[Lb], leads
+    to `dead`, which is absorbing.  A match length grows by at most one per
+    digit, so the 2d digits of w.w read only rows below 2d; the successors of
+    row 2d, which may lie past the table, are never used.
     """
     import numpy as np
 
     A = N + 1
-    n_states = 2 * d + 1
-    cap, delta = _suffix_automaton(N, alpha, n_states)
-    Lw, Lb = np.divmod(np.arange(n_states * n_states), n_states)
+    n = 2 * d + 1
+    fail, cap, delta = [0, 0], [alpha[0]], [[int(c == alpha[0]) for c in range(A)]]
+    for L in range(1, n):
+        f = fail[L]
+        fail.append(delta[f][alpha[L]])
+        cap.append(min(alpha[L], cap[f]))
+        delta.append(delta[f][:])
+        delta[L][alpha[L]] = L + 1
+    cap, delta = np.array(cap), np.array(delta)
+    Lw, Lb = np.divmod(np.arange(n * n), n)
     c = np.arange(A)
     ok = (c <= cap[Lw][:, None]) & ((N - c) <= cap[Lb][:, None])
-    nxt = (delta[Lw] * n_states + delta[Lb][:, ::-1]) * A
-    dead = n_states * n_states * A
+    nxt = (delta[Lw] * n + delta[Lb][:, ::-1]) * A
+    dead = n * n * A
     step = np.full(dead + A, dead, dtype=np.intp)
     step[:dead] = np.where(ok, nxt, dead).ravel()
     return step, dead
-
-
-def _surviving_prefixes(step, dead: int, A: int, d: int, chunk: int):
-    """Blocks (idx, state) of the length-d words that pass d automaton steps.
-
-    The frontier grows one digit at a time and keeps only surviving children,
-    built parent-major and digit-minor, so every block and the concatenation
-    of all blocks are in lexicographic order.  A frontier whose children could
-    exceed `chunk` rows is split and finished block by block, depth first.
-    """
-    import numpy as np
-
-    digits = np.arange(A)
-    stack = [(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp))]
-    while stack:
-        t, idx, state = stack.pop()
-        while t < d and idx.shape[0]:
-            n = idx.shape[0]
-            if n > 1 and n * A > chunk:
-                size = max(1, chunk // A)
-                for s in range((n - 1) // size * size, -1, -size):
-                    stack.append((t, idx[s:s + size], state[s:s + size]))
-                break
-            nxt = step[state[:, None] + digits]
-            keep = nxt != dead
-            idx = (idx[:, None] * A + digits)[keep]
-            state = nxt[keep]
-            t += 1
-        else:
-            if idx.shape[0]:
-                yield idx, state
 
 
 def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
@@ -544,12 +500,12 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     lower: among those, words whose periodic extension passes the exact
     projection criterion (every rotation value within the open interval).
     The first d digits of w.w are the word itself, so the automaton prunes
-    prefixes as they grow and only surviving words are ever built; the second
-    pass over w and the projection test then run on those words alone.  The
-    cost follows the surviving prefixes, not (N+1)^d.  Words are integer
-    indices in lexicographic order, and the projection test takes them in the
-    groups of `chunk` consecutive indices that a full scan of the index range
-    would form, so its float products see the same rows in the same order.
+    prefixes as they grow and only surviving words are ever built, as integer
+    indices.  The frontier is grown depth first in blocks of at most rows =
+    max(N+1, chunk // (8d)) words, so that no block's float64 digit matrix
+    takes more than `chunk` bytes.  A finished block decodes its digits, runs
+    the second pass over w, and for the lower count tests the projections of
+    its survivors.
     """
     import numpy as np
 
@@ -564,50 +520,39 @@ def _periodic_counts(N, beta_f, alpha, d, want_lower, chunk=1 << 22):
     denom = 1.0 - beta_f ** (-d)
     hi_bound = denom
     lo_bound = (K - 1.0) * denom
-    # rows per block of the second pass and of the projection test: a
-    # block's float64 digit matrix takes at most `chunk` bytes
-    rows = max(1, chunk // (8 * d))
-
-    def n_projection(digits):
-        # near-equal blocks, so that none is much smaller than `rows` and
-        # every block takes the same matrix-product path as a whole chunk
-        n = 0
-        for part in np.array_split(digits, -(-digits.shape[1] // rows), axis=1):
-            S = np.ascontiguousarray(part.T, dtype=np.float64) @ C
-            n += int(np.count_nonzero(((S < hi_bound) & (S > lo_bound)).all(axis=1)))
-        return n
-
-    n_upper = 0
-    n_lower = 0
-    group: list[np.ndarray] = []  # digit columns of upper survivors in one index chunk
-    group_key = 0
-    for idx, state in _surviving_prefixes(step, dead, A, d, chunk):
-        for s in range(0, idx.shape[0], rows):
-            words = idx[s:s + rows]
-            D = np.empty((d, words.shape[0]), dtype=np.min_scalar_type(N))
-            q = words
+    rows = max(A, chunk // (8 * d))
+    digits = np.arange(A)
+    n_upper = n_lower = 0
+    stack = [(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp))]
+    while stack:
+        t, idx, state = stack.pop()
+        while t < d and idx.shape[0]:
+            if idx.shape[0] * A > rows:  # its children could overflow a block: split it
+                size = rows // A
+                stack.extend((t, idx[s:s + size], state[s:s + size])
+                             for s in range(0, idx.shape[0], size))
+                break
+            nxt = step[state[:, None] + digits]
+            keep = nxt != dead
+            idx = (idx[:, None] * A + digits)[keep]
+            state = nxt[keep]
+            t += 1
+        else:
+            if not idx.shape[0]:
+                continue
+            D = np.empty((d, idx.shape[0]), dtype=np.min_scalar_type(N))
+            q = idx
             for t in range(d - 1, -1, -1):
                 r = q // A
                 D[t] = q - r * A
                 q = r
-            ws = state[s:s + rows]
             for t in range(d):
-                ws = step[ws + D[t]]
-            alive = ws != dead
-            n_alive = int(np.count_nonzero(alive))
-            n_upper += n_alive
-            if not want_lower or not n_alive:
-                continue
-            keys = words[alive] // chunk
-            cuts = np.flatnonzero(np.diff(keys)) + 1
-            for key, part in zip(keys[np.r_[0, cuts]], np.split(D[:, alive], cuts, axis=1)):
-                if key != group_key and group:
-                    n_lower += n_projection(np.concatenate(group, axis=1))
-                    group = []
-                group_key = key
-                group.append(part)
-    if group:
-        n_lower += n_projection(np.concatenate(group, axis=1))
+                state = step[state + D[t]]
+            alive = state != dead
+            n_upper += int(np.count_nonzero(alive))
+            if want_lower:
+                S = np.ascontiguousarray(D[:, alive].T, dtype=np.float64) @ C
+                n_lower += int(np.count_nonzero(((S < hi_bound) & (S > lo_bound)).all(axis=1)))
     return n_upper, (n_lower if want_lower else None)
 
 

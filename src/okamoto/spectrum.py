@@ -102,9 +102,12 @@ def a0_tilde(N: int) -> float:
         n, d = a.as_integer_ratio()
         return log_g(N, a), (N + 1) / a + N * (N + 1) * d / ((N + 1) * n - d)
 
-    # start at the root of B^2 a ((N+1)a - 1) = N: g_N = 1 with N for N+1 in a's power
-    x0 = (B + math.sqrt(8 * N * N + 8 * N + 1)) / (2 * B * (N + 1))
-    return newton_root(f, x0, math.nextafter(1 / (N + 1), 1), 1.0)
+    try:
+        # start at the root of B^2 a ((N+1)a - 1) = N: g_N = 1 with N for N+1 in a's power
+        x0 = (B + math.sqrt(8 * N * N + 8 * N + 1)) / (2 * B * (N + 1))
+        return newton_root(f, x0, math.nextafter(1 / (N + 1), 1), 1.0)
+    except OverflowError:  # the slope at the bracket's left end, from N of about 10^147
+        raise ResourceError(f"a0_tilde for N={N} is past float range") from None
 
 
 def a0_star(N: int) -> Fraction:

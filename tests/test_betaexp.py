@@ -555,12 +555,14 @@ class TestPeriodicCounts:
 
     @pytest.mark.parametrize("N,beta,d", [(1, 1.9, 12), (1, 1.99, 12), (2, 2.9, 7), (3, 3.5, 6)])
     def test_blocked_frontier_matches_brute_force(self, N, beta, d):
-        # a tiny chunk forces the depth-first blocks, the split second pass
-        # and the index-chunk groups of the projection test
+        # a tiny chunk forces the depth-first blocks, so that the second pass
+        # and the projection test run on many small blocks
         assert self.counts(N, beta, d, chunk=64) == brute_force_counts(N, beta, d)
 
     def test_pinned_thick_count(self):
         assert self.counts(1, 1.99, 20) == (852216, 852214)
+        # blocks of at most 409 words split the frontier, with the lower count at depth 20
+        assert self.counts(1, 1.99, 20, chunk=1 << 16) == (852216, 852214)
 
     def test_bounds_carry_the_counts_of_the_halving_chain(self):
         eb = univoque_entropy_bounds(1, 1.9, 12)

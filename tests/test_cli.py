@@ -361,6 +361,33 @@ class TestResourceCaps:
         code, maxrss_kb = map(int, proc.stdout.split())
         assert code == 4 and maxrss_kb < 100 * 1024
 
+    def test_entropy_counter_stays_under_120_mb(self):
+        # the frontier is grown in blocks of one size; growing it whole and
+        # splitting it at 4M rows peaked at about 290 MB on this call
+        argv = [sys.executable, "-m", "okamoto.cli", "beta", "--op", "entropy", "--N", "1",
+                "--beta", "1999/1000", "--depth", "22"]
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kb = map(int, proc.stdout.split())
+        assert code == 0 and maxrss_kb < 120 * 1024
+
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--N", str(10**147)],
+        ["asymptotics", "--N", str(10**147)],
+        ["beta", "--op", "pi", "--N", "1", "--beta", f"gr:{10**155 + 1}", "--w", "(1)"],
+        ["classify", "--N", "1", "--a", f"kl:{10**155 + 1}", "--x", "1/3"],
+        ["beta", "--op", "pi", "--N", "1", "--beta", f"kl:{10**309}", "--w", "(1)"],
+    ], ids=["thresholds", "asymptotics", "beta-gr", "classify-kl", "beta-kl-even"])
+    def test_n_past_float_range_exits_4(self, argv):
+        # a0_tilde's slope, the generalized golden ratio's m^2 and, for even N,
+        # thue_morse_root's 1/(N+1) overflow a float there
+        code, out, err = call(argv)
+        assert (code, out) == (4, "") and err.startswith("resource error")
+        assert "N=" in err and "Traceback" not in err
+
     def test_gamma_past_float_range_exits_4(self):
         # gamma = (3a)^even (3b)^odd passes 1.8e308 over about 1,150 digits at
         # the float a = 1/golden ratio, and over 800 even digits at a = 9/10
