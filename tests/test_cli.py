@@ -323,6 +323,17 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def cli_peak_rss(argv):
+    """(exit code, peak RSS in kB) of one CLI process, started by a small interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, sys.executable, "-m", "okamoto.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kb = map(int, proc.stdout.split())
+    return code, maxrss_kb
+
+
 class TestResourceCaps:
     def test_eval_near_one_runs(self):
         # the closed form costs O(L+m) whatever a is, so no series cap applies
@@ -352,26 +363,15 @@ class TestResourceCaps:
         # peaked at 154 MB on this call.  A small interpreter starts the CLI
         # process, because a child's ru_maxrss also counts the memory of the
         # process it was spawned from.
-        argv = [sys.executable, "-m", "okamoto.cli", "eval", "--N", "1", "--a", "3/5", "--x", "1e-30"]
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
-            capture_output=True, text=True, timeout=60, env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, maxrss_kb = map(int, proc.stdout.split())
+        code, maxrss_kb = cli_peak_rss(["eval", "--N", "1", "--a", "3/5", "--x", "1e-30"])
         assert code == 4 and maxrss_kb < 100 * 1024
 
     def test_entropy_counter_stays_under_120_mb(self):
         # the frontier is grown in blocks of one size; growing it whole and
         # splitting it at 4M rows peaked at about 290 MB on this call
-        argv = [sys.executable, "-m", "okamoto.cli", "beta", "--op", "entropy", "--N", "1",
-                "--beta", "1999/1000", "--depth", "22"]
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
-            capture_output=True, text=True, timeout=60, env=child_env(),
+        code, maxrss_kb = cli_peak_rss(
+            ["beta", "--op", "entropy", "--N", "1", "--beta", "1999/1000", "--depth", "22"]
         )
-        assert proc.returncode == 0, proc.stderr
-        code, maxrss_kb = map(int, proc.stdout.split())
         assert code == 0 and maxrss_kb < 120 * 1024
 
     @pytest.mark.parametrize("argv", [
