@@ -174,10 +174,6 @@ class ExpansionCount:
     count: int
     saturated: bool
 
-    @property
-    def unique(self) -> bool:
-        return self.count == 1 and not self.saturated
-
     def __str__(self) -> str:
         return f"AT_LEAST({self.count})" if self.saturated else str(self.count)
 
@@ -191,8 +187,12 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
     throughout (a float beta is used via its exact binary value): with beta =
     b/c, the branches after k levels are integers n over the one denominator
     den = q c^k, q that of x, so a step is u = b n - d c den over c den, and
-    it survives when 0 <= u and u (b - c) <= N c (c den).
+    it survives when 0 <= u <= M = N c (c den) // (b - c).  As u falls with
+    d, a branch's survivors are one run from the least d >= 0 with u <= M, so
+    a call takes at most depth (frontier + cap) <= 2 depth cap steps, any N.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     if cap < 1 or depth < 1:
         raise DomainError("cap and depth must be >= 1")
     if beta <= 1:
@@ -206,18 +206,17 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
     frontier, den = [xq.numerator], xq.denominator
     for _ in range(depth):
         den *= c
-        top = N * c * den  # u (b - c) <= top, that is u / den <= K
+        M = N * c * den // (b - c)  # u <= M, that is u / den <= K
         nxt: list[int] = []
         for n in frontier:
-            bn = b * n
-            for d in range(N + 1):
-                u = bn - d * den
-                if u < 0:
-                    break  # u falls as d grows
-                if u * (b - c) <= top:
-                    nxt.append(u)
-                    if len(nxt) >= cap:
-                        return ExpansionCount(cap, True)
+            u = b * n
+            d = 0 if u <= M else -((M - u) // den)  # the least d with u - d den <= M
+            u -= d * den
+            while d <= N and u >= 0:
+                nxt.append(u)
+                if len(nxt) >= cap:
+                    return ExpansionCount(cap, True)
+                d, u = d + 1, u - den
         frontier = nxt
     return ExpansionCount(len(frontier), False)
 

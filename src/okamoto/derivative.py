@@ -214,7 +214,9 @@ def finite_difference_probe(
     value rounded once (eval_F), so a quotient's only error is the float
     roundoff of F(x+-h) - F(x) divided by h, about 1e-16/h: below 2e-4 while
     h >= about 1e-12, i.e. up to level 25 for N = 1.  Beyond that it grows
-    by a factor of about 2N+1 per level.
+    by a factor of about 2N+1 per level.  h must be a normal float, (2N+1)^n
+    <= 2^1022: levels past that bound (644 for N = 1, 295 for N = 5) raise
+    ResourceError before any level is probed.
     """
     if levels < 1:
         raise DomainError("levels must be >= 1")
@@ -222,6 +224,14 @@ def finite_difference_probe(
     if not (0 < xq < 1):
         raise DomainError(f"x must lie in (0,1), got {x}")
     B = 2 * p.N + 1
+    last = 0  # the last level up to `levels` whose h is a normal float
+    while last < levels and B ** (last + 1) <= 2**1022:
+        last += 1
+    if levels > last:
+        raise ResourceError(
+            f"probe level {last + 1} puts h = {B}^-{last + 1} below the least normal float; "
+            f"levels must be <= {last} at N={p.N}"
+        )
     f_x = eval_F(p, digits_of(xq, p.N))
     rows: list[ProbeQuotients] = []
     for n in range(1, levels + 1):

@@ -41,8 +41,10 @@ from .errors import DomainError, ResourceError
 from .numdigits import Number, OmegaSeq, compare, is_exact, make_params
 
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
-# a step tests a candidate word (20-60 us per word of 6-14 digits) or keys one
-# point (1-5 us), so at most about 3 s at the cap (2-CPU x86, Python 3.11)
+# a step scans a candidate word (about 2.5 us; about 15 us for an admissible
+# one, with its OmegaSeq, its point and its class's share of is_univoque) or
+# builds one point (about 3 us), so at most about 0.5 s at the cap, at N = 1
+# and a = 0.501 (2-CPU x86, Python 3.11)
 ENUMERATION_WORK_CAP = 100_000
 
 
@@ -380,18 +382,19 @@ def enumerate_infinite_points(
 ) -> InfiniteSetEnumeration:
     """All points prefix . (2w)^inf with w primitive, periodic and univoque.
 
-    w runs over primitive words up to max_period that pass is_univoque in
-    base 1/a, once per rotation class (it reads only the extremes of the
-    shift values, one set for every rotation); prefixes run over all
+    is_univoque in base 1/a reads only the extremes of the shift values, one
+    set for every rotation, so it runs once per rotation class up to
+    max_period, at the Lyndon word (strictly less than each proper rotation),
+    and a class that passes adds all its rotations.  Prefixes run over all
     base-(2N+1) words up to max_prefix_len.  The tag is PLUS_INFINITY for a
     prefix with an even number of odd digits and MINUS_INFINITY otherwise
     (see InfiniteSetEnumeration).  With B = 2N+1, V the prefix and W the
-    period 2w read in base B, x = (V (B^m - 1) + W) / (B^L (B^m - 1)); each
-    point is keyed by its integer numerator over the one denominator
-    B^max_prefix_len lcm(B^m - 1), and the first (prefix, w) per key is kept.
+    period 2w read in base B, x = (V (B^m - 1) + W) / (B^L (B^m - 1)) over
+    the one denominator B^max_prefix_len lcm(B^m - 1).  A point is emitted
+    once, from its canonical (prefix, w): a prefix ending in 2w's last digit
+    gives the point of the shorter prefix with w rotated, so it is skipped.
     The work is estimated up front as the candidate words plus the prefixes
-    times the candidate words; above ENUMERATION_WORK_CAP it raises
-    ResourceError.
+    times them; above ENUMERATION_WORK_CAP it raises ResourceError.
     """
     if max_prefix_len < 0 or max_period < 1:
         raise DomainError("max_prefix_len must be >= 0 and max_period >= 1")
@@ -414,39 +417,31 @@ def enumerate_infinite_points(
             f"in all), over the cap of {ENUMERATION_WORK_CAP}"
         )
     beta = 1 / Fraction(a) if is_exact(a) else 1.0 / float(a)
-    univoque: dict[tuple[int, ...], bool] = {}  # by least rotation
     admissible: list[OmegaSeq] = []
     for plen in range(1, max_period + 1):
         for word in product(range(N + 1), repeat=plen):
-            w = OmegaSeq(N, (), word)  # canonical: a non-primitive word shrinks
-            if w.period != word:
-                continue
-            # words come in lexicographic order, so a class is first met at its least rotation
-            least = min(word[k:] + word[:k] for k in range(plen))
-            if least not in univoque:
-                univoque[least] = betaexp.is_univoque(w, N, beta)
-            if univoque[least]:
-                admissible.append(w)
+            lyndon = all(word < word[k:] + word[:k] for k in range(1, plen))
+            if lyndon and betaexp.is_univoque(OmegaSeq(N, (), word), N, beta):
+                admissible += (OmegaSeq(N, (), word[k:] + word[:k]) for k in range(plen))
     B = 2 * N + 1
     # the all-zero period (x = 0) never occurs: a constant word is not univoque
     lcm = math.lcm(*{B ** len(w.period) - 1 for w in admissible})
-    tails = []  # (w, W) with W over the denominator lcm
+    tails = []  # (w, W, 2w's last digit) with W over the denominator lcm
     for w in admissible:
         W = reduce(lambda s, t: s * B + 2 * t, w.period, 0)
-        tails.append((w, W * (lcm // (B ** len(w.period) - 1))))
-    seen: dict[int, tuple] = {}  # numerator -> first (prefix, w, tag)
+        tails.append((w, W * (lcm // (B ** len(w.period) - 1)), 2 * w.period[-1]))
+    found = []  # (numerator, prefix, w, tag), one per point
     for plen in range(max_prefix_len + 1):
         scale = B ** (max_prefix_len - plen)
-        scaled = [(w, scale * t) for w, t in tails]
+        scaled = [(w, scale * t, last) for w, t, last in tails]
         for v in product(range(B), repeat=plen):
             head = reduce(lambda s, d: s * B + d, v, 0) * scale * lcm
             # sum(v) has the parity of v's odd-digit count
             tag = (DerivativeTag.PLUS_INFINITY, DerivativeTag.MINUS_INFINITY)[sum(v) % 2]
-            for w, t in scaled:
-                if head + t not in seen:
-                    seen[head + t] = (v, w, tag)
+            found += ((head + t, v, w, tag) for w, t, last in scaled if not v or v[-1] != last)
     D = B ** max_prefix_len * lcm
-    points = tuple(PointCertificate(Fraction(k, D), *seen[k]) for k in sorted(seen))
+    found.sort(key=lambda r: r[0])
+    points = tuple(PointCertificate(Fraction(k, D), v, w, tag) for k, v, w, tag in found)
     return InfiniteSetEnumeration(points=points, rejected=())
 
 

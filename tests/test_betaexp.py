@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,17 @@ class TestCountExpansions:
         with pytest.raises(DomainError):
             count_expansions(Fraction(3, 1), 1, 1.9)  # above N/(beta-1)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(DomainError, match="N must be >= 1"):
+            count_expansions(0, 0, 2)
+
+    def test_huge_alphabet_counts_only_survivors(self):
+        # the survivors of a branch are one run of digits, found by one division,
+        # so the 10^7 digits below the run are never tried
+        start = time.perf_counter()
+        assert str(count_expansions(10**7 - 1, 10**7, 2)) == "AT_LEAST(10)"
+        assert time.perf_counter() - start < 1.0
+
     def test_oracle_equivalence_sample(self):
         rng = random.Random(2718)
         beta = 1.9
@@ -285,8 +297,8 @@ class TestCountExpansions:
     def test_matches_fraction_reference(self):
         rng = random.Random(31)
         cases = []
-        for _ in range(60):
-            N = rng.randint(1, 3)
+        for i in range(90):
+            N = rng.randint(1, 3) if i < 60 else rng.randint(4, 6)
             beta = Fraction(rng.randint(11, 10 * N + 9), 10)
             if rng.random() < 0.3:
                 beta = rng.choice((PHI, 1.9))
@@ -298,7 +310,7 @@ class TestCountExpansions:
             cases += [(0, N, beta), (K, N, beta), (K / 3, N, beta)]
         saturated = 0
         for x, N, beta in cases:
-            for cap, depth in ((4, 12), (50, 8)):
+            for cap, depth in ((4, 12), (50, 8), (1000, 8)):
                 c = count_expansions(x, N, beta, cap=cap, depth=depth)
                 want = self.reference(x, N, beta, cap, depth)
                 assert (c.count, c.saturated) == want, (x, N, beta, cap, depth)

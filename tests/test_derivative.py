@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from okamoto import (
     DomainError,
     OmegaSeq,
     PrecisionError,
+    ResourceError,
     check_infinite_conditions,
     classify_derivative,
     critical_frequency,
@@ -349,3 +351,15 @@ class TestProbe:
         p = make_params(1, A058)
         rows = finite_difference_probe(p, Fraction(5, 12), 16)
         assert probe_trend(rows) == "DIVERGING_MINUS"
+
+    @pytest.mark.parametrize("N, a, last", [(1, Fraction(3, 5), 644), (5, Fraction(1, 4), 295)])
+    def test_levels_stop_at_the_least_normal_h(self, N, a, last):
+        # h = (2N+1)^-n is a normal float up to `last`; past it float(h) would
+        # underflow, to 0.0 from level 679 at N = 1
+        p = make_params(N, a)
+        rows = finite_difference_probe(p, Fraction(1, 7), last)
+        assert rows[-1].level == last and rows[-1].h >= sys.float_info.min
+        with pytest.raises(ResourceError, match=f"levels must be <= {last} at N={N}"):
+            finite_difference_probe(p, Fraction(1, 7), last + 1)
+        with pytest.raises(ResourceError):
+            finite_difference_probe(p, Fraction(1, 7), 10**100)

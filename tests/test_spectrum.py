@@ -539,6 +539,7 @@ class TestEnumeration:
             (2, 0.35, 2, 3),
             (3, F(3, 10), 1, 3),
             (3, 0.3, 1, 3),
+            (1, F(13, 25), 1, 12),
         ],
     )
     def test_matches_one_classification_per_pair(self, N, a, max_prefix_len, max_period):
