@@ -27,7 +27,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ResourceError
-from .numdigits import TIE_TOL, Number, OmegaSeq, compare, is_exact, tail_conditions
+from .numdigits import (
+    TIE_TOL, Number, OmegaSeq, TailMargins, _projection_tables, as_fraction, compare, is_exact,
+)
 
 DEFAULT_FRONTIER_CAP = 50_000_000
 QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 51 digits
@@ -47,12 +49,6 @@ def pi_beta(w: OmegaSeq, beta) -> Number:
         raise DomainError(f"beta must exceed 1, got {beta}")
     tables = _projection_tables(w.N, beta)
     return w.series_sum(*tables) if is_exact(beta) else float(w.decimal_series_sum(*tables))
-
-
-def _projection_tables(N: int, beta) -> tuple[list, list]:
-    """Digit-indexed (term, ratio) tables of pi_beta's series, in Fractions at beta's exact value."""
-    inv = 1 / Fraction(beta)
-    return [d * inv for d in range(N + 1)], [inv] * (N + 1)
 
 
 def shift(w: OmegaSeq, n: int = 1) -> OmegaSeq:
@@ -145,26 +141,21 @@ def is_univoque(w: OmegaSeq, N: int, beta) -> bool:
     """Whether w projects to a point of the univoque set in base beta.
 
     Criterion: pi(shift^n(w)) < 1 and pi(shift^n(complement(w))) < 1 for all
-    n >= 0.  Only the shifts n < L+m are distinct.  With 1/beta = p/q at
-    beta's exact value, one integer roll (OmegaSeq.shift_numerators) gives
-    every pi(shift^n(w)) as U_n / E; a complement's value is K - U_n / E,
-    K = N/(beta-1) = N p/(q-p).  So both conditions read K-1 < U_n / E < 1,
-    the two tail conditions of derivative.check_infinite_conditions, which
-    numdigits.tail_conditions decides for both: by the signs of integers for
-    an exact beta, under the tie rule for a float one.  Endpoint sequences
-    (the constant 0 and constant N sequences) fail the criterion by
-    definition even though they are the unique expansions of their values.
+    n >= 0.  With a = 1/beta at beta's exact value these are the two tail
+    conditions of derivative.check_infinite_conditions over every shift:
+    numdigits.TailMargins (start 0) decides both, by the signs of integers
+    for an exact beta, under the tie rule for a float one.  Endpoint
+    sequences (the constant 0 and constant N sequences) fail the criterion
+    by definition even though they are the unique expansions of their values.
     """
     if w.N != N:
         raise DomainError(f"sequence alphabet N={w.N} does not match N={N}")
     if not (1 < beta <= N + 1):
         raise DomainError(f"beta must lie in (1, {N + 1}], got {beta}")
-    q, p = beta.as_integer_ratio()
-    U, E = w.shift_numerators(p, q)
-    gap = q - p
     tie = (f"a projection value is within {TIE_TOL} of a strict boundary; "
            "supply beta as an exact rational")
-    return all(tail_conditions(U, E, gap - N * p, gap, is_exact(beta), tie))
+    a = beta.as_integer_ratio()[::-1]  # 1/beta at beta's exact value
+    return all(TailMargins(w, *a, 0).conditions(is_exact(beta), tie))
 
 
 @dataclass(frozen=True)
@@ -197,9 +188,9 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
         raise DomainError("cap and depth must be >= 1")
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
-    bq = Fraction(beta)
+    bq = as_fraction(beta, "beta")
     K = Fraction(N) / (bq - 1)
-    xq = Fraction(x)
+    xq = as_fraction(x, "x")
     if not (0 <= xq <= K):
         raise DomainError(f"x must lie in [0, N/(beta-1)] = [0, {K}], got {x}")
     b, c = bq.as_integer_ratio()
@@ -327,6 +318,8 @@ def thue_morse_root(N: int) -> float:
     about 2^-52 over its slope, about N, moves the root by about an ulp of
     a, which polish_root corrects.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     k = 2 - N % 2
 
     def f(a: float) -> tuple[float, float]:

@@ -29,12 +29,13 @@ from .numdigits import (
     Number,
     OmegaSeq,
     Params,
+    TailMargins,
+    as_fraction,
     compare,
     decimal_context,
     digits_of,
     is_exact,
     odd_total,
-    tail_conditions,
 )
 from .selfaffine import eval_F
 
@@ -44,49 +45,6 @@ class DerivativeTag(enum.Enum):
     PLUS_INFINITY = "PLUS_INFINITY"
     MINUS_INFINITY = "MINUS_INFINITY"
     NOT_DIFFERENTIABLE = "NOT_DIFFERENTIABLE"
-
-
-class TailMargins:
-    """Exact (direct, complement) margin pairs of an a = p/q, on integers.
-
-    sums[r] / den is sum_{j>=1} a^j w_{r+j} (OmegaSeq.shift_numerators), so
-    the direct margin is (den - sums[r]) / den and the complement margin is
-    (k den + gap sums[r]) / (gap den), gap = q - p, k = gap - N p.  Reads as
-    the tuple of those (Fraction, Fraction) pairs: indexing, iteration, len,
-    ==, hash and repr all go through it, and each Fraction is built only when
-    read.
-    """
-
-    __slots__ = ("sums", "den", "k", "gap")  # a plain class: no dataclass cost at import
-
-    def __init__(self, sums: tuple[int, ...], den: int, k: int, gap: int):
-        self.sums, self.den, self.k, self.gap = sums, den, k, gap
-
-    def __len__(self) -> int:
-        return len(self.sums)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        u, E = self.sums[i], self.den
-        return Fraction(E - u, E), Fraction(self.k * E + self.gap * u, self.gap * E)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def floats(self) -> list[list[float]]:
-        """Each pair as floats; int true division rounds as float(Fraction) does."""
-        E, kE, gE = self.den, self.k * self.den, self.gap * self.den
-        return [[(E - u) / E, (kE + self.gap * u) / gE] for u in self.sums]
 
 
 @dataclass(frozen=True)
@@ -124,24 +82,16 @@ def check_infinite_conditions(p: Params, w: OmegaSeq) -> tuple[bool, bool, TailM
     digits N - w instead, is 2 - N a/(1 - a) - T_r.  The first flag is true
     iff every direct margin is strictly positive, the second for the
     complement margins.  Preperiod digits are irrelevant: the limits depend
-    only on large indices.
-
-    a = p/q is taken at its exact value, a float's too: one roll of
-    OmegaSeq.shift_numerators gives every sum_j a^j w_{r+j} as U_r / E, so
-    T_r = (E - U_r) / E and the complement margin is (k E + (q-p) U_r) /
-    ((q-p) E) with k = (q-p) - N p.  numdigits.tail_conditions gives the
-    flags: signs of integers for an exact a, the tie rule for a float.  The
-    margins come back as TailMargins, whose Fractions are built only when read.
+    only on large indices, so the margins start at the shift past the
+    preperiod.  numdigits.TailMargins holds them at a's exact value, a
+    float's too, and decides the flags: by signs of integers for an exact a,
+    by the tie rule for a float.  The margins come back as that object.
     """
     if w.N != p.N:
         raise DomainError(f"sequence alphabet N={w.N} does not match params N={p.N}")
-    num, den = p.a.as_integer_ratio()
-    U, E = w.shift_numerators(num, den)
-    U = tuple(U[len(w.preperiod):])
-    gap = den - num
-    k = gap - p.N * num
+    margins = TailMargins(w, *p.a.as_integer_ratio(), len(w.preperiod))
     tie = f"a tail margin lies within {TIE_TOL} of 0; supply an exact rational"
-    return *tail_conditions(U, E, k, gap, is_exact(p.a), tie), TailMargins(U, E, k, gap)
+    return *margins.conditions(is_exact(p.a), tie), margins
 
 
 def classify_derivative(p: Params, d: DigitSeq) -> DerivativeClass:
@@ -220,7 +170,7 @@ def finite_difference_probe(
     """
     if levels < 1:
         raise DomainError("levels must be >= 1")
-    xq = Fraction(x)
+    xq = as_fraction(x, "x")
     if not (0 < xq < 1):
         raise DomainError(f"x must lie in (0,1), got {x}")
     B = 2 * p.N + 1

@@ -4,15 +4,15 @@ A point x in (0,1) is stored by its base-(2N+1) expansion split into a finite
 preperiod and a repeating period (DigitSeq); expansions in a base beta over
 {0,...,N} use the same type on the smaller alphabet (OmegaSeq).  Their
 shift_numerators sums every shift of sum_j a^j x_{n+j} for a rational a as
-integers over one denominator, in one O(L+m) roll, and tail_conditions reads
-the tail margins of F' = +-inf and the univoque test off those integers, at
-a's exact value whether a is given exactly or as a float; series_sum sums
-the sequence alone, for F's values and the projections in base beta, in
-Fractions or at DECIMAL_DIGITS digits.  Params keeps the (N, a) pair and
-builds the tables of F's digit series once per object.  Long division stops
-at EXPANSION_DIGIT_CAP digits.  The package's numeric policy is compare: int
-and Fraction inputs are decided exactly, a float within TIE_TOL of a strict
-boundary is a tie.
+integers over one denominator, in one O(L+m) roll; TailMargins holds the
+tail margins of F' = +-inf and of the univoque test on those integers, at
+a's exact value whether a is given exactly or as a float, and decides them.
+series_sum sums the sequence alone, for F's values, the projections in base
+beta and a DigitSeq's own value, in Fractions or at DECIMAL_DIGITS digits.
+Params keeps the (N, a) pair and builds the tables of F's digit series once
+per object.  Long division stops at EXPANSION_DIGIT_CAP digits.  The
+package's numeric policy is compare: int and Fraction inputs are decided
+exactly, a float within TIE_TOL of a strict boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -53,6 +53,14 @@ def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) or isinstance(v, Rational)  # ABC check last: slow
 
 
+def as_fraction(v, what: str) -> Fraction:
+    """v's exact value as a Fraction; a NaN or an infinity raises DomainError naming `what`."""
+    try:
+        return Fraction(v)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{what} must be a finite number, got {v}") from None
+
+
 def compare(x, bound, inexact: bool = False, what: str | None = None) -> int | None:
     """Sign of x - bound (-1, 0 or 1) under the numeric policy; None for a tie.
 
@@ -71,27 +79,6 @@ def compare(x, bound, inexact: bool = False, what: str | None = None) -> int | N
     if what is not None:
         raise PrecisionError(f"{what} lies within {TIE_TOL} of {bound}; supply an exact rational")
     return None
-
-
-def tail_conditions(sums, E: int, k: int, gap: int, exact: bool, tie: str) -> tuple[bool, bool]:
-    """The two tail conditions on the integers of one shift_numerators roll.
-
-    With a = p/q, gap = q - p and k = gap - N p, sums[n] / E is sum_{j>=1}
-    a^j x_{n+j}; the direct margin (E - sums[n]) / E and the complement margin
-    (k E + gap sums[n]) / (gap E) must be strictly positive for every n.  Only
-    the largest and the least sums can fail, so the flags read hi = E - max
-    and lo = k E + gap min.  An exact a is decided by their signs.  Otherwise
-    hi / E and lo / (gap E) meet compare's tie band: a condition that fails
-    outright decides, and a tie beside it reads False; a tie with no failure
-    raises PrecisionError with the message `tie`.
-    """
-    hi, lo = E - max(sums), k * E + gap * min(sums)
-    if exact:
-        return hi > 0, lo > 0
-    signs = compare(hi / E, 0, True), compare(lo / (gap * E), 0, True)
-    if None in signs and -1 not in signs:
-        raise PrecisionError(tie)
-    return signs[0] == 1, signs[1] == 1
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -270,17 +257,7 @@ class DigitSeq(EventuallyPeriodic):
 
     def value(self) -> Fraction:
         """Exact value sum(digit_i * (2N+1)^-i)."""
-        B = self.base
-        L = len(self.preperiod)
-        m = len(self.period)
-        pre_int = 0
-        for d in self.preperiod:
-            pre_int = pre_int * B + d
-        per_int = 0
-        for d in self.period:
-            per_int = per_int * B + d
-        denom = B**L * (B**m - 1)
-        return Fraction(pre_int * (B**m - 1) + per_int, denom)
+        return self.series_sum(*_projection_tables(2 * self.N, self.base))
 
     def tail_is_zero_beyond(self, n: int) -> bool:
         """True iff digits n+1, n+2, ... are all zero (x is a level-n grid point)."""
@@ -298,6 +275,84 @@ class OmegaSeq(EventuallyPeriodic):
     @property
     def alphabet_size(self) -> int:
         return self.N + 1
+
+
+def _projection_tables(N: int, beta) -> tuple[list, list]:
+    """Digit-indexed (term, ratio) tables of sum_j x_j beta^-j over {0,...,N}, in
+    Fractions at beta's exact value; a NaN or infinite beta raises DomainError."""
+    inv = 1 / as_fraction(beta, "beta")
+    return [d * inv for d in range(N + 1)], [inv] * (N + 1)
+
+
+class TailMargins:
+    """The tail margins of F' = +-inf and of the univoque test, on integers, at a = p/q.
+
+    One roll of seq.shift_numerators gives U_n / E = sum_{j>=1} a^j x_{n+j}
+    for the shifts n from `start` on: 0 for the univoque test, the
+    preperiod's length for F', whose limits read only the period.  With gap
+    = q - p and k = gap - N p, the direct margin 1 - U_n / E is (E - U_n) /
+    E and the complement margin, the same sum over the digits N - x, is (k
+    E + gap U_n) / (gap E).  A float a is given by its exact value's p and
+    q.  conditions() decides both families; the object reads as the tuple
+    of the (direct, complement) Fraction pairs: indexing, iteration, len,
+    ==, hash and repr all go through it, and each Fraction is built only
+    when read.
+    """
+
+    __slots__ = ("sums", "den", "gap", "kden")  # a plain class: no dataclass cost at import
+
+    def __init__(self, seq: EventuallyPeriodic, p: int, q: int, start: int):
+        U, self.den = seq.shift_numerators(p, q)
+        self.sums = tuple(U[start:])
+        self.gap = q - p
+        self.kden = (self.gap - seq.N * p) * self.den
+
+    def _numerators(self, u: int) -> tuple[int, int]:
+        """The (direct, complement) margins of a shift's U_n, over E and gap E."""
+        return self.den - u, self.kden + self.gap * u
+
+    def conditions(self, exact: bool, tie: str) -> tuple[bool, bool]:
+        """Whether every direct and every complement margin is strictly positive.
+
+        Only the largest and the least sums can fail.  An exact a is decided
+        by the signs of integers.  Otherwise the margins meet compare's tie
+        band: a condition that fails outright decides, and a tie beside it
+        reads False; a tie with no failure raises PrecisionError with the
+        message `tie`.
+        """
+        hi, lo = self._numerators(max(self.sums))[0], self._numerators(min(self.sums))[1]
+        if exact:
+            return hi > 0, lo > 0
+        signs = compare(hi / self.den, 0, True), compare(lo / (self.gap * self.den), 0, True)
+        if None in signs and -1 not in signs:
+            raise PrecisionError(tie)
+        return signs[0] == 1, signs[1] == 1
+
+    def __len__(self) -> int:
+        return len(self.sums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        direct, comp = self._numerators(self.sums[i])
+        return Fraction(direct, self.den), Fraction(comp, self.gap * self.den)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def floats(self) -> list[list[float]]:
+        """Each pair as floats; int true division rounds as float(Fraction) does."""
+        E, gE = self.den, self.gap * self.den
+        return [[d / E, c / gE] for d, c in map(self._numerators, self.sums)]
 
 
 class SeriesTables(NamedTuple):
@@ -418,8 +473,13 @@ def digits_of_rational(numerator: int, denominator: int, N: int) -> DigitSeq:
 
 def digits_of(x: Rational | Fraction, N: int) -> DigitSeq:
     """Convenience wrapper: canonical expansion of an exact rational x."""
-    q = Fraction(x)
+    q = as_fraction(x, "x")
     return digits_of_rational(q.numerator, q.denominator, N)
+
+
+def _odd(word) -> int:
+    """Number of odd digits in word."""
+    return sum(t % 2 for t in word)
 
 
 def odd_count_prefix(d: DigitSeq, n: int) -> int:
@@ -427,29 +487,20 @@ def odd_count_prefix(d: DigitSeq, n: int) -> int:
     if n < 0:
         raise DomainError("n must be nonnegative")
     L = len(d.preperiod)
-    m = len(d.period)
-    pre_odd = sum(1 for t in d.preperiod[: min(n, L)] if t % 2 == 1)
     if n <= L:
-        return pre_odd
-    k = n - L
-    per_odd = sum(1 for t in d.period if t % 2 == 1)
-    full, rest = divmod(k, m)
-    return pre_odd + full * per_odd + sum(
-        1 for t in d.period[:rest] if t % 2 == 1
-    )
+        return _odd(d.preperiod[:n])
+    full, rest = divmod(n - L, len(d.period))
+    return _odd(d.preperiod) + full * _odd(d.period) + _odd(d.period[:rest])
 
 
 def odd_total(d: DigitSeq) -> int | float:
     """Total number of odd digits; math.inf when the period contains one."""
-    if any(t % 2 == 1 for t in d.period):
-        return math.inf
-    return sum(1 for t in d.preperiod if t % 2 == 1)
+    return math.inf if any(t % 2 for t in d.period) else _odd(d.preperiod)
 
 
 def odd_liminf_frequency(d: DigitSeq) -> Fraction:
     """Limiting frequency of odd digits, exact; the limit exists for periodic tails."""
-    per_odd = sum(1 for t in d.period if t % 2 == 1)
-    return Fraction(per_odd, len(d.period))
+    return Fraction(_odd(d.period), len(d.period))
 
 
 parse_digitseq = DigitSeq.parse

@@ -113,6 +113,8 @@ def a0_tilde(N: int) -> float:
 
 
 def a0_star(N: int) -> Fraction:
+    if N < 1:
+        raise DomainError("N must be >= 1")
     return Fraction(3 * N + 1, (N + 1) * (2 * N + 1))
 
 
@@ -174,6 +176,8 @@ def frequency_dimension(N: int, p: float) -> float:
     p = N/(2N+1) and tends to log(N+1)/log(2N+1), log(N)/log(2N+1) at the
     endpoints.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0,1), got {p}")
@@ -188,13 +192,15 @@ def frequency_set_dimension(N: int, probs: Sequence[float]) -> float:
     Shannon entropy of the 2N+1 probabilities in base 2N+1, with the
     convention 0 log 0 = 0.
     """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     if len(probs) != 2 * N + 1:
         raise DomainError(f"expected {2 * N + 1} probabilities, got {len(probs)}")
     total = 0.0
     for q in probs:
         q = float(q)
-        if q < 0:
-            raise DomainError(f"negative probability {q}")
+        if not q >= 0:  # also a NaN
+            raise DomainError(f"probability {q} is not a number >= 0")
         total += q
     if abs(total - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {total}, not 1")
@@ -364,11 +370,10 @@ class PointCertificate:
 class InfiniteSetEnumeration:
     """Points prefix . (2w)^inf of D_inf(a), each with its (prefix, w) witness.
 
-    For an all-even period 2w the two tail margins of the derivative are
-    1 - pi_beta(shift^n w) and pi_beta(shift^n w) - (K - 1), K = N/(beta - 1):
-    exactly is_univoque's two conditions, and both read them off the one
-    integer roll OmegaSeq.shift_numerators.  So every admissible w gives
-    F' = +-inf, and the sign is the parity of the prefix's odd digits.
+    For an all-even period 2w, the derivative's tail margins and
+    is_univoque's two conditions in base beta = 1/a are one object,
+    numdigits.TailMargins of w.  So every admissible w gives F' = +-inf,
+    and the sign is the parity of the prefix's odd digits.
     `rejected` is always empty; it stays so that the enumerate-dinf JSON
     keeps its shape.
     """
@@ -482,8 +487,8 @@ def dimension_curve(N: int, count: int = 200) -> list[tuple[float, float]]:
     """Grid samples of a -> h(phi(a)) on the open interval (a_min, a0_star)."""
     if count < 2:
         raise DomainError("count must be >= 2")
+    hi = float(a0_star(N))  # validates N
     lo = 1.0 / (N + 1)
-    hi = float(a0_star(N))
     out = []
     for k in range(count):
         a = lo + (hi - lo) * (k + 1) / (count + 1)

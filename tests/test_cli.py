@@ -250,6 +250,9 @@ class TestMalformedCalls:
         ["beta", "--op", "pi", "--N", "1", "--beta", "19/10"],
         ["beta", "--op", "univoque", "--N", "1", "--beta", "19/10"],
         ["beta", "--op", "count", "--N", "1", "--beta", "2"],
+        ["beta", "--op", "pi", "--N", "1", "--beta", "kl:-1", "--w", "(1)"],
+        ["eval", "--N", "1", "--a", "kl:-1", "--x", "1/3"],
+        ["dim-dinf", "--N", "1", "--a", "kl:-1"],
     ])
     def test_typed_error(self, argv):
         code, out, err = call(argv)

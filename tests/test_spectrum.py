@@ -24,7 +24,7 @@ from okamoto import (
     threshold_asymptotics,
     thresholds,
 )
-from okamoto import betaexp, derivative, spectrum
+from okamoto import betaexp, derivative, numdigits, spectrum
 from okamoto.betaexp import is_univoque
 from okamoto.cli import run
 from okamoto.derivative import classify_derivative
@@ -630,3 +630,31 @@ class TestDimensionCurve:
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
         peak_a = max(curve, key=lambda t: t[1])[0]
         assert abs(peak_a - thresholds(1).a0_tilde) < 0.01
+
+
+W10 = OmegaSeq(1, (), (1, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: betaexp.komornik_loreti(-1),
+    lambda: spectrum.a_inf_hat(-1),
+    lambda: spectrum.a0_star(-1),
+    lambda: spectrum.a0_star(0),
+    lambda: frequency_set_dimension(1, [math.nan, 0.5, 0.5]),
+    lambda: frequency_set_dimension(0, [1.0]),
+    lambda: frequency_dimension(0, 0.5),
+    lambda: betaexp.pi_beta(W10, math.nan),
+    lambda: betaexp.pi_beta(W10, math.inf),
+    lambda: betaexp.count_expansions(math.nan, 1, 1.5),
+    lambda: betaexp.count_expansions(0.5, 1, math.nan),
+    lambda: betaexp.count_expansions(0.5, 1, math.inf),
+    lambda: numdigits.digits_of(math.nan, 1),
+    lambda: dimension_curve(-1),
+    lambda: derivative.finite_difference_probe(make_params(1, Fraction(3, 5)), math.nan, 3),
+], ids=["kl-N-1", "a_inf_hat-N-1", "a0_star-N-1", "a0_star-N0", "probs-nan", "probs-N0", "freq-dim-N0",
+        "pi-nan", "pi-inf", "count-x-nan", "count-beta-nan", "count-beta-inf", "digits-nan",
+        "curve-N-1", "probe-x-nan"])
+def test_bad_n_or_non_finite_input_is_a_domain_error(call):
+    # an N below 1, a NaN or an infinity where a finite number is needed: DomainError (exit 2)
+    with pytest.raises(DomainError):
+        call()
