@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import ConvergenceError, DomainError, PrecisionError, ResourceError
 from .numdigits import (
     TIE_TOL, Number, OmegaSeq, TailMargins, _projection_tables, as_fraction, compare, is_exact,
 )
@@ -36,6 +36,10 @@ QUASI_GREEDY_DIGIT_CAP = 4096  # bounds --max-len; entropy bounds read at most 5
 # b bits resolve a to about 2^-b from a_inf_hat, so 2^16 cover every a of the CLI's
 # 4,300 digits; the doubling chain up to the cap takes about 0.12 s (2-CPU x86, Python 3.11)
 A_INF_HAT_BITS_CAP = 1 << 16
+TM_PREFIX_CAP = 1_000_000  # Thue-Morse terms: about 0.35 s, 0.6 s through the CLI (2-CPU x86)
+# count_expansions' levels; den gains digits every level, so time grows with depth^2:
+# about 0.4 s at the cap at beta = kl:1 (2-CPU x86, Python 3.11)
+COUNT_DEPTH_CAP = 4096
 
 
 def pi_beta(w: OmegaSeq, beta) -> Number:
@@ -181,11 +185,14 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
     it survives when 0 <= u <= M = N c (c den) // (b - c).  As u falls with
     d, a branch's survivors are one run from the least d >= 0 with u <= M, so
     a call takes at most depth (frontier + cap) <= 2 depth cap steps, any N.
+    A depth above COUNT_DEPTH_CAP raises ResourceError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if cap < 1 or depth < 1:
         raise DomainError("cap and depth must be >= 1")
+    if depth > COUNT_DEPTH_CAP:
+        raise ResourceError(f"depth = {depth} levels exceed the cap of {COUNT_DEPTH_CAP}")
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
     bq = as_fraction(beta, "beta")
@@ -213,9 +220,14 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
 
 
 def thue_morse_prefix(n: int) -> list[int]:
-    """First n terms (from index 0) of the parity-of-bit-count sequence."""
+    """First n terms (from index 0) of the parity-of-bit-count sequence.
+
+    n above TM_PREFIX_CAP raises ResourceError.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > TM_PREFIX_CAP:
+        raise ResourceError(f"n = {n} terms exceed the cap of {TM_PREFIX_CAP}")
     return [bin(j).count("1") % 2 for j in range(n)]
 
 
@@ -223,7 +235,8 @@ def generalized_tm_prefix(N: int, n: int) -> list[int]:
     """First n digits (index starting at 1) of the base sequence for beta_c(N).
 
     For N = 2m-1 the i-th digit is m-1+t_i; for N = 2m it is m+t_i-t_{i-1},
-    where t is the parity-of-bit-count sequence and t_0 = 0.
+    where t is the parity-of-bit-count sequence and t_0 = 0.  It reads
+    thue_morse_prefix(n + 1), so n of TM_PREFIX_CAP or more raises ResourceError.
     """
     if N < 1 or n < 1:
         raise DomainError("N and n must be >= 1")
@@ -559,7 +572,8 @@ def univoque_entropy_bounds(N: int, beta, depth: int = 20) -> EntropyBounds:
     lower: log(L_d)/(d log beta) where L_d counts words whose periodic
     extension passes is_univoque's projection criterion; clamped to stay at
     or below the reported upper.  Counts of one or zero words carry no
-    exponential content and report as 0.
+    exponential content and report as 0.  A beta whose float is 1.0 raises
+    PrecisionError before any word is counted.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -572,6 +586,8 @@ def univoque_entropy_bounds(N: int, beta, depth: int = 20) -> EntropyBounds:
             f"(N+1)^depth = {(N + 1) ** depth} words exceed the cap of {DEFAULT_FRONTIER_CAP}"
         )
     beta_f = float(beta)
+    if beta_f == 1.0:  # the counts divide by beta_f - 1 and the bounds by log(beta_f)
+        raise PrecisionError(f"beta = {beta} rounds to the float 1.0, whose log is 0")
     log_b = math.log(beta_f)
     # the automata of every depth in the chain read alpha[0..2*depth] at most
     alpha_len = 2 * depth + 1

@@ -185,11 +185,8 @@ def _cmd_classify(args, out: TextIO) -> None:
     x = betaexp.parse_rational(args.x)
     d = digits_of(x, args.N)
     verdict = classify_derivative(p, d)
-    probe_rows = (
-        finite_difference_probe(p, x, args.probe_levels)
-        if args.probe_levels > 0
-        else None
-    )
+    # any nonzero count, so that finite_difference_probe rejects a negative one
+    probe_rows = finite_difference_probe(p, x, args.probe_levels) if args.probe_levels else None
     if args.csv:
         if probe_rows is None:
             raise DomainError("--csv for classify requires --probe-levels")
@@ -213,7 +210,7 @@ def _cmd_thresholds(args, out: TextIO) -> None:
     ns = parse_n_range(args.N)
     rows = [spectrum.thresholds(n) for n in ns]
     if args.csv:
-        out.write("N,a_min,a0_tilde,a0_star,a_inf_hat,a_inf_star\n")
+        out.write(",".join(("N",) + spectrum.THRESHOLD_NAMES) + "\n")
         for t in rows:
             vals = ",".join(fmt17(v) for v in t.as_row())
             out.write(f"{t.N},{vals}\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import betaexp
 from .betaexp import (
@@ -40,12 +40,14 @@ from .derivative import DerivativeTag
 from .errors import DomainError, ResourceError
 from .numdigits import Number, OmegaSeq, compare, is_exact, make_params
 
+THRESHOLD_NAMES = ("a_min", "a0_tilde", "a0_star", "a_inf_hat", "a_inf_star")  # Thresholds row order
 ASYMPTOTIC_LIMITS = (1.0, (1.0 + math.sqrt(2.0)) / 2.0, 1.5, 2.0, 2.0)
 # a step scans a candidate word (about 2.5 us; about 15 us for an admissible
 # one, with its OmegaSeq, its point and its class's share of is_univoque) or
 # builds one point (about 3 us), so at most about 0.5 s at the cap, at N = 1
 # and a = 0.501 (2-CPU x86, Python 3.11)
 ENUMERATION_WORK_CAP = 100_000
+DIMENSION_CURVE_CAP = 100_000  # grid points: about 0.4 s, 0.7 s through the CLI (2-CPU x86)
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,12 @@ class Thresholds:
     a_inf_hat: float
     a_inf_star: Number
 
-    def as_row(self) -> tuple[float, float, float, float, float]:
-        return (
-            float(self.a_min),
-            float(self.a0_tilde),
-            float(self.a0_star),
-            float(self.a_inf_hat),
-            float(self.a_inf_star),
-        )
+    def as_row(self) -> tuple[float, ...]:
+        """The five thresholds as floats, in THRESHOLD_NAMES order."""
+        return tuple(float(getattr(self, name)) for name in THRESHOLD_NAMES)
 
     def to_json_obj(self) -> dict:
-        names = ("a_min", "a0_tilde", "a0_star", "a_inf_hat", "a_inf_star")
-        return {"N": self.N, **dict(zip(names, self.as_row()))}
+        return {"N": self.N, **dict(zip(THRESHOLD_NAMES, self.as_row()))}
 
 
 def log_g(N: int, a: float) -> float:
@@ -94,7 +90,7 @@ def a0_tilde(N: int) -> float:
 
     Over N = 1..3000 it is within 0.81 ulp of a 60-digit root, the nearest
     float at 2,765 of them.  Rounding it by exact signs of P_N
-    (_a0_tilde_order) would cost about 12 ms a sign at N = 1999.
+    (_a0_tilde_sign) would cost about 12 ms a sign at N = 1999.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -239,61 +235,36 @@ class DimensionReport:
         return obj
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _a0_tilde_order(N: int, a: Number) -> int | None:
-    """Order of a against a0_tilde; an exact a by the sign of P_N(a).
-
-    P_N(p/q) = (2N+1)^(2N+1) p^(N+1) ((N+1)p - q)^N - N^N q^(2N+1) has the
-    sign of log_g.
-    """
-    if not is_exact(a):
-        return compare(a, a0_tilde(N))
-    p, q = Fraction(a).as_integer_ratio()
+def _a0_tilde_sign(N: int, p: int, q: int) -> int:
+    """Sign of p/q - a0_tilde: that of log_g, so of
+    P_N(p/q) = (2N+1)^(2N+1) p^(N+1) ((N+1)p - q)^N - N^N q^(2N+1)."""
     B = 2 * N + 1
-    return _sign(B**B * p ** (N + 1) * ((N + 1) * p - q) ** N - N**N * q**B)
+    return compare(B**B * p ** (N + 1) * ((N + 1) * p - q) ** N - N**N * q**B, 0)
 
 
-def _a_inf_hat_order(N: int, a: Number) -> int | None:
-    """Order of a against a_inf_hat; an exact a by the sign of S(a) - 1.
-
-    S is the Thue-Morse series of betaexp.thue_morse_sign, increasing in a,
-    with S = 1 at a_inf_hat; its sign comes from a bracket of a product in
-    fixed point, whose bits double from 64 until the bracket decides
-    (betaexp.thue_morse_order).  Past betaexp.A_INF_HAT_BITS_CAP bits it
-    raises ResourceError.
-    """
-    if not is_exact(a):
-        return compare(a, a_inf_hat(N))
-    return thue_morse_order(N, *Fraction(a).as_integer_ratio())
+def _golden_sign(N: int, p: int, q: int) -> int:
+    """Sign of p/q - a_inf_star for odd N = 2m-1: that of m a^2 + m a - 1 at a = p/q."""
+    m = (N + 1) // 2
+    return compare(m * p * (p + q) - q * q, 0)
 
 
-def _a_inf_star_order(N: int, a: Number) -> int | None:
-    """Order of a against a_inf_star; an exact a and odd N = 2m-1 by the sign of m a^2 + m a - 1."""
-    if N % 2 and is_exact(a):
-        m = (N + 1) // 2
-        p, q = Fraction(a).as_integer_ratio()
-        return _sign(m * p * (p + q) - q * q)
-    return compare(a, a_inf_star(N))
-
-
-def _regime_index(
-    N: int, a: Number, orders: Sequence[Callable[[int, Number], int | None]]
-) -> tuple[int, bool]:
+def _regime_index(N: int, a: Number, thresholds: Sequence[tuple]) -> tuple[int, bool]:
     """How many ascending thresholds a reaches (a tie reaches one), and whether it ties the last.
 
-    orders[i](N, a) is a's order against the i-th threshold.  They are asked
-    from the top down, so a threshold is decided only when a lies below
+    thresholds holds one (value, sign) pair per threshold.  An exact a = p/q
+    is placed by sign(N, p, q) where a sign is given; every other a by
+    numdigits.compare(a, value(N)), exact against a Fraction value.  They are
+    asked from the top down, so a threshold is decided only when a lies below
     every higher one.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if (compare(a, Fraction(1, N + 1), what="a"), compare(a, 1, what="a")) != (1, -1):
         raise DomainError(f"a must lie in (1/{N + 1}, 1), got {a}")
-    for k in range(len(orders), 0, -1):
-        order = orders[k - 1](N, a)
+    pq = Fraction(a).as_integer_ratio() if is_exact(a) else None
+    for k in range(len(thresholds), 0, -1):
+        value, sign = thresholds[k - 1]
+        order = sign(N, *pq) if pq and sign else compare(a, value(N))
         if order != -1:
             return k, order is None
     return 0, False
@@ -309,7 +280,7 @@ def dim_zero_set(N: int, a: Number) -> DimensionReport:
     threshold (numdigits.compare) gets the regime at that threshold, flagged
     at_threshold.
     """
-    k, tie = _regime_index(N, a, (_a0_tilde_order, lambda N, a: compare(a, a0_star(N))))
+    k, tie = _regime_index(N, a, ((a0_tilde, _a0_tilde_sign), (a0_star, None)))
     regime = ("FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY")[k]
     value = frequency_dimension(N, critical_frequency(N, a)) if k < 2 else 0.0
     note = "set has full measure; value is the dimension of its complement" if k == 0 else None
@@ -322,11 +293,18 @@ def dim_infinite_set(N: int, a: Number, depth: int = 20) -> DimensionReport:
     EMPTY from a_inf_star on; COUNTABLE_RATIONAL strictly between a_inf_hat
     and a_inf_star; UNCOUNTABLE_DIM_ZERO at the computed a_inf_hat (neighbors
     listed); below that, bounds log(1/a)/log(2N+1) times the univoque-set
-    entropy bounds at the given depth.  An exact a is placed exactly; a float
-    a that ties a threshold (numdigits.compare) gets the regime at it, flagged
+    entropy bounds at the given depth, which must be >= 2 in every regime.
+    An exact a is placed exactly, against a_inf_hat by the sign of S(a) - 1
+    (betaexp.thue_morse_order, S increasing with S = 1 at a_inf_hat), whose
+    fixed-point bits double from 64 until they decide; past
+    betaexp.A_INF_HAT_BITS_CAP bits it raises ResourceError.  A float a that
+    ties a threshold (numdigits.compare) gets the regime at it, flagged
     at_threshold.
     """
-    k, tie = _regime_index(N, a, (_a_inf_hat_order, _a_inf_star_order))
+    star_sign = _golden_sign if N % 2 else None  # an even N's a_inf_star is a Fraction
+    k, tie = _regime_index(N, a, ((a_inf_hat, thue_morse_order), (a_inf_star, star_sign)))
+    if depth < 2:
+        raise DomainError("depth must be >= 2")
     af = float(a)
     if k == 1 and tie:
         note = "at the countable/positive-dimension threshold; "
@@ -454,7 +432,7 @@ def enumerate_infinite_points(
 class AsymptoticsReport:
     """N-scaled thresholds against their large-N limits.
 
-    rows hold (N, N*a_min, N*a0_tilde, N*a0_star, N*a_inf_hat, N*a_inf_star);
+    rows hold N and N times each threshold, in THRESHOLD_NAMES order;
     deltas compare the last row against the limits 1, (1+sqrt 2)/2, 3/2, 2, 2.
     """
 
@@ -463,9 +441,8 @@ class AsymptoticsReport:
     deltas: tuple[float, ...] = ()
 
     def to_json_obj(self) -> dict:
-        names = ["N", "N*a_min", "N*a0_tilde", "N*a0_star", "N*a_inf_hat", "N*a_inf_star"]
         return {
-            "columns": names,
+            "columns": ["N"] + [f"N*{name}" for name in THRESHOLD_NAMES],
             "rows": [list(r) for r in self.rows],
             "limits": list(self.limits),
             "last_row_deltas": list(self.deltas),
@@ -477,16 +454,16 @@ def threshold_asymptotics(N_values: Sequence[int]) -> AsymptoticsReport:
     for N in N_values:
         t = thresholds(N)
         rows.append((float(N),) + tuple(N * v for v in t.as_row()))
-    deltas = tuple(
-        abs(rows[-1][i + 1] - ASYMPTOTIC_LIMITS[i]) for i in range(5)
-    ) if rows else ()
+    deltas = tuple(abs(v - lim) for v, lim in zip(rows[-1][1:], ASYMPTOTIC_LIMITS)) if rows else ()
     return AsymptoticsReport(rows=tuple(rows), deltas=deltas)
 
 
 def dimension_curve(N: int, count: int = 200) -> list[tuple[float, float]]:
-    """Grid samples of a -> h(phi(a)) on the open interval (a_min, a0_star)."""
+    """count grid samples of a -> h(phi(a)) on (a_min, a0_star), at most DIMENSION_CURVE_CAP."""
     if count < 2:
         raise DomainError("count must be >= 2")
+    if count > DIMENSION_CURVE_CAP:
+        raise ResourceError(f"count = {count} grid points exceed the cap of {DIMENSION_CURVE_CAP}")
     hi = float(a0_star(N))  # validates N
     lo = 1.0 / (N + 1)
     out = []

@@ -27,6 +27,7 @@ from okamoto import (
     thue_morse_prefix,
     univoque_entropy_bounds,
 )
+from okamoto import betaexp
 from okamoto.betaexp import newton_root
 
 from conftest import random_omegaseq, random_omegaseq_for_oracle
@@ -249,6 +250,12 @@ class TestCountExpansions:
         with pytest.raises(DomainError, match="N must be >= 1"):
             count_expansions(0, 0, 2)
 
+    def test_depth_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(betaexp, "COUNT_DEPTH_CAP", 5)
+        assert str(count_expansions(Fraction(1, 3), 1, 2, depth=5)) == "1"
+        with pytest.raises(ResourceError, match="depth = 6 levels exceed the cap of 5"):
+            count_expansions(Fraction(1, 3), 1, 2, depth=6)
+
     def test_huge_alphabet_counts_only_survivors(self):
         # the survivors of a branch are one run of digits, found by one division,
         # so the 10^7 digits below the run are never tried
@@ -332,6 +339,16 @@ class TestThueMorse:
         for N in range(1, 7):
             seq = generalized_tm_prefix(N, 200)
             assert all(0 <= d <= N for d in seq)
+
+    def test_prefix_cap_boundary(self, monkeypatch):
+        # generalized_tm_prefix(N, n) reads thue_morse_prefix(n + 1)
+        monkeypatch.setattr(betaexp, "TM_PREFIX_CAP", 8)
+        assert thue_morse_prefix(8) == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert generalized_tm_prefix(2, 7) == [2, 1, 0, 2, 0, 1, 2]
+        with pytest.raises(ResourceError, match="n = 9 terms exceed the cap of 8"):
+            thue_morse_prefix(9)
+        with pytest.raises(ResourceError, match="n = 9 terms exceed the cap of 8"):
+            generalized_tm_prefix(2, 8)
 
 
 class TestCriticalBases:
@@ -491,6 +508,12 @@ class TestEntropyBounds:
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
             univoque_entropy_bounds(2, 2.5, 20)
+
+    def test_base_whose_float_is_one_raises_before_counting(self):
+        # the counts divide by float(beta) - 1 and the bounds by log(float(beta))
+        beta = Fraction(10**25 + 1, 10**25)
+        with pytest.raises(PrecisionError, match=f"beta = {beta} rounds to the float 1.0"):
+            univoque_entropy_bounds(1, beta, 4)
 
     def test_bulk_filter_agrees_with_is_univoque(self):
         # the vectorized periodic-witness filter must match the exact

@@ -147,6 +147,12 @@ class TestBetaVerb:
                                "--beta", f"gr:{N}", "--depth", str(depth)])
         assert (code, out) == (3, "") and err.startswith("precision error")
 
+    def test_entropy_at_a_base_whose_float_is_one_exits_3(self):
+        code, out, err = call(["beta", "--op", "entropy", "--N", "1",
+                               "--beta", "1.0000000000000000000000001", "--depth", "4"])
+        assert (code, out) == (3, "") and err.startswith("precision error")
+        assert "rounds to the float 1.0" in err and "Traceback" not in err
+
     def test_entropy(self):
         code, out, _ = call(["beta", "--op", "entropy", "--N", "1", "--beta", "1.5",
                              "--depth", "8"])
@@ -253,6 +259,8 @@ class TestMalformedCalls:
         ["beta", "--op", "pi", "--N", "1", "--beta", "kl:-1", "--w", "(1)"],
         ["eval", "--N", "1", "--a", "kl:-1", "--x", "1/3"],
         ["dim-dinf", "--N", "1", "--a", "kl:-1"],
+        ["classify", "--N", "1", "--a", "3/5", "--x", "1/3", "--probe-levels", "-1"],
+        ["dim-dinf", "--N", "1", "--a", "0.7", "--depth", "-5"],
     ])
     def test_typed_error(self, argv):
         code, out, err = call(argv)
@@ -413,6 +421,20 @@ class TestResourceCaps:
         assert parse_n_range(f"9..3,{N_LIST_CAP}") == [N_LIST_CAP]  # an empty range counts 0
         with pytest.raises(ResourceError):
             parse_n_range(f"1..{N_LIST_CAP},1")
+
+    @pytest.mark.parametrize("argv,cap", [
+        (["beta", "--op", "tm", "--count", str(10**9)], 10**6),
+        (["dim-d0", "--N", "1", "--a", "3/5", "--grid", str(10**9)], 10**5),
+        (["beta", "--op", "count", "--N", "1", "--beta", "19/10", "--x", "5510/5859",
+          "--depth", str(10**9)], 4096),
+    ], ids=["tm-count", "dim-d0-grid", "count-depth"])
+    def test_loop_past_its_cap_exits_4(self, argv, cap):
+        # each cap is checked before any term, grid point or level is computed
+        t0 = time.perf_counter()
+        code, out, err = call(argv)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (4, "") and err.startswith("resource error")
+        assert str(10**9) in err and str(cap) in err and "Traceback" not in err
 
     def test_quasi_greedy_digit_cap(self):
         argv = ["beta", "--op", "quasi-greedy", "--N", "1", "--beta", "19/10", "--max-len"]

@@ -298,6 +298,40 @@ class TestDimInfiniteSet:
             uppers.append(r.value[1])
         assert uppers[0] >= uppers[1] >= uppers[2]
 
+    @pytest.mark.parametrize("a", [F(13, 25), F(3, 5), F(7, 10), spectrum.a_inf_hat(1)],
+                             ids=["positive", "countable", "empty", "at-a_inf_hat"])
+    def test_depth_below_2_is_rejected_in_every_regime(self, a):
+        dim_infinite_set(1, a, depth=2)
+        with pytest.raises(DomainError, match="depth must be >= 2"):
+            dim_infinite_set(1, a, depth=1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_exact_a_evaluates_no_float_threshold(monkeypatch, N):
+    # an exact a is placed by integer signs alone; a float a still needs the float roots
+    def float_root(N):
+        raise AssertionError("a float threshold was evaluated")
+
+    for name in ("a0_tilde", "a_inf_hat") + (("a_inf_star",) if N % 2 else ()):
+        monkeypatch.setattr(spectrum, name, float_root)
+    regimes = set()
+    for k in range(1, 120):
+        a = F(1, N + 1) + F(k, 120) * F(N, N + 1)
+        regimes.update((dim_zero_set(N, a).regime, dim_infinite_set(N, a, depth=3).regime))
+    assert regimes == {"FULL_MEASURE", "NULL_UNCOUNTABLE", "EMPTY", "POSITIVE_DIM",
+                       "COUNTABLE_RATIONAL"}
+    with pytest.raises(AssertionError, match="float threshold"):
+        dim_zero_set(N, float(F(1, N + 1) + F(1, 1000)))
+    with pytest.raises(AssertionError, match="float threshold"):
+        dim_infinite_set(N, float(F(1, N + 1) + F(1, 1000)))
+
+
+def test_dimension_curve_cap_boundary(monkeypatch):
+    monkeypatch.setattr(spectrum, "DIMENSION_CURVE_CAP", 5)
+    assert len(dimension_curve(1, 5)) == 5
+    with pytest.raises(ResourceError, match="count = 6 grid points exceed the cap of 5"):
+        dimension_curve(1, 6)
+
 
 class TestTieRule:
     """A float a meets numdigits.compare's tie rule against the float thresholds.
