@@ -40,6 +40,9 @@ TM_PREFIX_CAP = 1_000_000  # Thue-Morse terms: about 0.35 s, 0.6 s through the C
 # count_expansions' levels; den gains digits every level, so time grows with depth^2:
 # about 0.4 s at the cap at beta = kl:1 (2-CPU x86, Python 3.11)
 COUNT_DEPTH_CAP = 4096
+# bounds depth * cap, so 2 depth cap steps: the slowest input found at the cap, beta = kl:1
+# at x = 1, takes about 0.2 s (depth 150); cap 10^5 at depth 200 took 2.4 s (2-CPU x86)
+COUNT_WORK_CAP = 1_000_000
 
 
 def pi_beta(w: OmegaSeq, beta) -> Number:
@@ -185,7 +188,8 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
     it survives when 0 <= u <= M = N c (c den) // (b - c).  As u falls with
     d, a branch's survivors are one run from the least d >= 0 with u <= M, so
     a call takes at most depth (frontier + cap) <= 2 depth cap steps, any N.
-    A depth above COUNT_DEPTH_CAP raises ResourceError.
+    A depth above COUNT_DEPTH_CAP, or depth * cap above COUNT_WORK_CAP, raises
+    ResourceError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -193,6 +197,8 @@ def count_expansions(x, N: int, beta, cap: int = 10, depth: int = 40) -> Expansi
         raise DomainError("cap and depth must be >= 1")
     if depth > COUNT_DEPTH_CAP:
         raise ResourceError(f"depth = {depth} levels exceed the cap of {COUNT_DEPTH_CAP}")
+    if depth * cap > COUNT_WORK_CAP:
+        raise ResourceError(f"depth * cap = {depth} * {cap} exceeds the cap of {COUNT_WORK_CAP}")
     if beta <= 1:
         raise DomainError(f"beta must exceed 1, got {beta}")
     bq = as_fraction(beta, "beta")

@@ -1,7 +1,9 @@
 """Command-line surface with machine-readable output.
 
-JSON goes to stdout by default; --csv switches tabular verbs to CSV.  Output
-is deterministic for fixed inputs (no timestamps, fixed ordering) and floats
+Each verb's handler returns its result and run() alone writes it to stdout:
+JSON by default, or CSV when --csv asks a tabular verb for a table (--csv on
+a result with no table, such as dim-d0 without --grid, is exit 2).  Output is
+deterministic for fixed inputs (no timestamps, fixed ordering) and floats
 are printed with 17 significant digits.  Exit codes: 0 success, 1 usage
 error, 2 domain error, 3 precision/convergence error, 4 resource error.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from . import betaexp, spectrum
 from .derivative import classify_derivative, finite_difference_probe
@@ -45,9 +47,25 @@ def fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def emit_json(obj, out: TextIO) -> None:
-    out.write(_json_text(obj))
-    out.write("\n")
+class Table(NamedTuple):
+    """A CSV result: ints are written by str, floats by fmt17 and None as an empty cell."""
+
+    header: tuple[str, ...]
+    rows: Iterable[tuple]
+
+    def to_csv(self, out: TextIO) -> None:
+        out.write(",".join(self.header) + "\n")
+        for row in self.rows:
+            cells = ("" if v is None else str(v) if isinstance(v, int) else fmt17(v) for v in row)
+            out.write(",".join(cells) + "\n")
+
+
+def emit(result, out: TextIO) -> None:
+    """A result with to_csv (a Table or a GraphSample) as CSV, anything else as JSON."""
+    if hasattr(result, "to_csv"):
+        result.to_csv(out)
+    else:
+        out.write(_json_text(result) + "\n")
 
 
 def _json_text(v) -> str:
@@ -105,39 +123,38 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="okamoto", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common_na(p):
-        p.add_argument("--N", required=True, type=int)
-        p.add_argument("--a", required=True, type=str)
+    def verb(name, handler, help, na=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if na:
+            p.add_argument("--N", required=True, type=int)
+            p.add_argument("--a", required=True, type=str)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate the limit function at a rational x")
-    common_na(p)
+    p = verb("eval", _cmd_eval, "evaluate the limit function at a rational x")
     p.add_argument("--x", required=True, type=str)
 
-    p = sub.add_parser("classify", help="classify the derivative at a rational x")
-    common_na(p)
+    p = verb("classify", _cmd_classify, "classify the derivative at a rational x")
     p.add_argument("--x", required=True, type=str)
     p.add_argument("--probe-levels", type=int, default=0)
     p.add_argument("--csv", action="store_true", help="emit probe rows as CSV")
 
-    p = sub.add_parser("thresholds", help="the five regime thresholds per N")
+    p = verb("thresholds", _cmd_thresholds, "the five regime thresholds per N", na=False)
     p.add_argument("--N", required=True, type=str, help="e.g. 3 or 1..10 or 1,4,9")
     p.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("dim-d0", help="dimension report for the zero-derivative set")
-    common_na(p)
+    p = verb("dim-d0", _cmd_dim_d0, "dimension report for the zero-derivative set")
     p.add_argument("--grid", type=int, default=0, help="emit an a,dim curve instead")
     p.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("dim-dinf", help="dimension report for the infinite-derivative set")
-    common_na(p)
+    p = verb("dim-dinf", _cmd_dim_dinf, "dimension report for the infinite-derivative set")
     p.add_argument("--depth", type=int, default=20)
 
-    p = sub.add_parser("graph", help="sample the graph on the level-depth grid")
-    common_na(p)
+    p = verb("graph", _cmd_graph, "sample the graph on the level-depth grid")
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("beta", help="beta-expansion operations")
+    p = verb("beta", _cmd_beta, "beta-expansion operations", na=False)
     p.add_argument("--op", required=True, choices=[
         "pi", "quasi-greedy", "univoque", "count", "tm", "gtm", "entropy",
     ])
@@ -151,35 +168,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=64)
     p.add_argument("--count", type=int, default=16, help="prefix length for tm/gtm")
 
-    p = sub.add_parser("enumerate-dinf", help="points of the infinite-derivative set")
-    common_na(p)
+    p = verb("enumerate-dinf", _cmd_enumerate_dinf, "points of the infinite-derivative set")
     p.add_argument("--max-prefix", type=int, default=1)
     p.add_argument("--max-period", type=int, default=3)
 
-    p = sub.add_parser("asymptotics", help="N-scaled thresholds vs their limits")
+    p = verb("asymptotics", _cmd_asymptotics, "N-scaled thresholds vs their limits", na=False)
     p.add_argument("--N", required=True, type=str)
     p.add_argument("--csv", action="store_true")
 
     return top
 
 
-def _cmd_eval(args, out: TextIO) -> None:
+def _cmd_eval(args) -> dict:
     a = parse_a(args.a)
     p = make_params(args.N, a)
     x = betaexp.parse_rational(args.x)
     d = digits_of(x, args.N)
     val = eval_F(p, d)
-    emit_json({
+    return {
         "N": args.N,
         "a": float(a),
         "x": x,
         "digits": str(d),
         "F": val,
         "box_dimension": box_dimension(p),
-    }, out)
+    }
 
 
-def _cmd_classify(args, out: TextIO) -> None:
+def _cmd_classify(args):
     a = parse_a(args.a)
     p = make_params(args.N, a)
     x = betaexp.parse_rational(args.x)
@@ -187,15 +203,11 @@ def _cmd_classify(args, out: TextIO) -> None:
     verdict = classify_derivative(p, d)
     # any nonzero count, so that finite_difference_probe rejects a negative one
     probe_rows = finite_difference_probe(p, x, args.probe_levels) if args.probe_levels else None
-    if args.csv:
+    if args.csv:  # the verdict's JSON is never built here: past float range it raises
         if probe_rows is None:
             raise DomainError("--csv for classify requires --probe-levels")
-        out.write("n,h,right_quotient,left_quotient\n")
-        for r in probe_rows:
-            rq = "" if r.right is None else fmt17(r.right)
-            lq = "" if r.left is None else fmt17(r.left)
-            out.write(f"{r.level},{fmt17(r.h)},{rq},{lq}\n")
-        return
+        return Table(("n", "h", "right_quotient", "left_quotient"),
+                     ((r.level, r.h, r.right, r.left) for r in probe_rows))
     obj = {"N": args.N, "a": float(a), "x": x}
     obj.update(verdict.to_json_obj())
     if probe_rows is not None:
@@ -203,51 +215,36 @@ def _cmd_classify(args, out: TextIO) -> None:
             {"n": r.level, "h": r.h, "right": r.right, "left": r.left}
             for r in probe_rows
         ]
-    emit_json(obj, out)
+    return obj
 
 
-def _cmd_thresholds(args, out: TextIO) -> None:
-    ns = parse_n_range(args.N)
-    rows = [spectrum.thresholds(n) for n in ns]
+def _cmd_thresholds(args):
+    rows = [spectrum.thresholds(n) for n in parse_n_range(args.N)]
     if args.csv:
-        out.write(",".join(("N",) + spectrum.THRESHOLD_NAMES) + "\n")
-        for t in rows:
-            vals = ",".join(fmt17(v) for v in t.as_row())
-            out.write(f"{t.N},{vals}\n")
-        return
-    emit_json([t.to_json_obj() for t in rows], out)
+        return Table(("N",) + spectrum.THRESHOLD_NAMES, ((t.N, *t.as_row()) for t in rows))
+    return [t.to_json_obj() for t in rows]
 
 
-def _cmd_dim_d0(args, out: TextIO) -> None:
+def _cmd_dim_d0(args):
     a = parse_a(args.a)
-    if args.grid:
-        curve = spectrum.dimension_curve(args.N, args.grid)
+    if not args.grid:
         if args.csv:
-            out.write("a,dim\n")
-            for av, dv in curve:
-                out.write(f"{fmt17(av)},{fmt17(dv)}\n")
-        else:
-            emit_json([[av, dv] for av, dv in curve], out)
-        return
-    emit_json(spectrum.dim_zero_set(args.N, a).to_json_obj(), out)
+            raise DomainError("--csv for dim-d0 requires --grid")
+        return spectrum.dim_zero_set(args.N, a).to_json_obj()
+    curve = spectrum.dimension_curve(args.N, args.grid)
+    return Table(("a", "dim"), curve) if args.csv else [[av, dv] for av, dv in curve]
 
 
-def _cmd_dim_dinf(args, out: TextIO) -> None:
-    a = parse_a(args.a)
-    emit_json(spectrum.dim_infinite_set(args.N, a, args.depth).to_json_obj(), out)
+def _cmd_dim_dinf(args) -> dict:
+    return spectrum.dim_infinite_set(args.N, parse_a(args.a), args.depth).to_json_obj()
 
 
-def _cmd_graph(args, out: TextIO) -> None:
-    a = parse_a(args.a)
-    p = make_params(args.N, a)
-    sample = sample_graph(p, args.depth)
-    if args.csv:
-        sample.to_csv(out)
-        return
-    emit_json(sample.to_json_obj(), out)
+def _cmd_graph(args):
+    sample = sample_graph(make_params(args.N, parse_a(args.a)), args.depth)
+    return sample if args.csv else sample.to_json_obj()  # its own to_csv streams 10^7 rows fast
 
 
-def _cmd_beta(args, out: TextIO) -> None:
+def _cmd_beta(args) -> dict:
     op = args.op
     if op in ("tm", "gtm"):
         n = args.count
@@ -256,8 +253,7 @@ def _cmd_beta(args, out: TextIO) -> None:
             if op == "tm"
             else betaexp.generalized_tm_prefix(args.N, n)
         )
-        emit_json({"op": op, "N": args.N, "count": n, "digits": seq}, out)
-        return
+        return {"op": op, "N": args.N, "count": n, "digits": seq}
     if args.beta is None:
         raise DomainError(f"--beta is required for op {op!r}")
     needed = {"pi": "w", "univoque": "w", "count": "x"}.get(op)
@@ -288,45 +284,27 @@ def _cmd_beta(args, out: TextIO) -> None:
         beta_float = float(beta)
     except OverflowError:
         raise ResourceError("beta is past float range") from None
-    emit_json({"op": op, "N": args.N, "beta": beta_float, **fields}, out)
+    return {"op": op, "N": args.N, "beta": beta_float, **fields}
 
 
-def _cmd_enumerate_dinf(args, out: TextIO) -> None:
+def _cmd_enumerate_dinf(args) -> dict:
     a = parse_a(args.a)
     res = spectrum.enumerate_infinite_points(
         args.N, a, args.max_prefix, args.max_period
     )
-    emit_json({
+    return {
         "N": args.N,
         "a": float(a),
         "points": [c.to_json_obj() for c in res.points],
         "rejected": [c.to_json_obj() for c in res.rejected],
-    }, out)
+    }
 
 
-def _cmd_asymptotics(args, out: TextIO) -> None:
-    ns = parse_n_range(args.N)
-    rep = spectrum.threshold_asymptotics(ns)
-    if args.csv:
-        obj = rep.to_json_obj()
-        out.write(",".join(obj["columns"]) + "\n")
-        for row in rep.rows:
-            out.write(f"{int(row[0])}," + ",".join(fmt17(v) for v in row[1:]) + "\n")
-        return
-    emit_json(rep.to_json_obj(), out)
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "thresholds": _cmd_thresholds,
-    "dim-d0": _cmd_dim_d0,
-    "dim-dinf": _cmd_dim_dinf,
-    "graph": _cmd_graph,
-    "beta": _cmd_beta,
-    "enumerate-dinf": _cmd_enumerate_dinf,
-    "asymptotics": _cmd_asymptotics,
-}
+def _cmd_asymptotics(args):
+    rep = spectrum.threshold_asymptotics(parse_n_range(args.N))
+    if args.csv:  # a row's N is a float there
+        return Table(rep.columns, ((int(r[0]), *r[1:]) for r in rep.rows))
+    return rep.to_json_obj()
 
 
 def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -341,7 +319,7 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        _COMMANDS[args.verb](args, out)
+        emit(args.handler(args), out)
     except (DomainError, GridPointError) as exc:
         err.write(f"domain error: {_clip_digits(exc)}\n")
         return 2

@@ -39,6 +39,10 @@ from .numdigits import (
 )
 from .selfaffine import eval_F
 
+# digits the probe expands over all its levels: about 1 s at x = 1/100003, whose base-3
+# period has 100,002 digits (2-CPU x86, Python 3.11)
+PROBE_DIGIT_CAP = 1_000_000
+
 
 class DerivativeTag(enum.Enum):
     ZERO = "ZERO"
@@ -166,7 +170,10 @@ def finite_difference_probe(
     h >= about 1e-12, i.e. up to level 25 for N = 1.  Beyond that it grows
     by a factor of about 2N+1 per level.  h must be a normal float, (2N+1)^n
     <= 2^1022: levels past that bound (644 for N = 1, 295 for N = 5) raise
-    ResourceError before any level is probed.
+    ResourceError before any level is probed.  Level n expands x +- h to at
+    most n + L + m digits, L and m those of x's preperiod and period, so
+    levels (L + m) + levels (levels + 1) / 2 above PROBE_DIGIT_CAP raises
+    ResourceError too, once x is expanded.
     """
     if levels < 1:
         raise DomainError("levels must be >= 1")
@@ -182,7 +189,13 @@ def finite_difference_probe(
             f"probe level {last + 1} puts h = {B}^-{last + 1} below the least normal float; "
             f"levels must be <= {last} at N={p.N}"
         )
-    f_x = eval_F(p, digits_of(xq, p.N))
+    d = digits_of(xq, p.N)
+    work = levels * (len(d.preperiod) + len(d.period)) + levels * (levels + 1) // 2
+    if work > PROBE_DIGIT_CAP:
+        raise ResourceError(
+            f"{levels} probe levels expand about {work} digits, past the cap of {PROBE_DIGIT_CAP}"
+        )
+    f_x = eval_F(p, d)
     rows: list[ProbeQuotients] = []
     for n in range(1, levels + 1):
         h = Fraction(1, B**n)

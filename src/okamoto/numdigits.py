@@ -10,9 +10,10 @@ a's exact value whether a is given exactly or as a float, and decides them.
 series_sum sums the sequence alone, for F's values, the projections in base
 beta and a DigitSeq's own value, in Fractions or at DECIMAL_DIGITS digits.
 Params keeps the (N, a) pair and builds the tables of F's digit series once
-per object.  Long division stops at EXPANSION_DIGIT_CAP digits.  The
-package's numeric policy is compare: int and Fraction inputs are decided
-exactly, a float within TIE_TOL of a strict boundary is a tie.
+per object.  Long division stops at EXPANSION_DIGIT_CAP digits, and parse
+at SEQUENCE_DIGIT_CAP.  The package's numeric policy is compare: int and
+Fraction inputs are decided exactly, a float within TIE_TOL of a strict
+boundary is a tie.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -33,6 +34,9 @@ from .errors import DomainError, PrecisionError, ResourceError
 
 Number = float | Fraction
 EXPANSION_DIGIT_CAP = 1_000_000  # about a second of long division
+# a parsed sequence's digits: is_univoque's roll costs about m^2 times the bits of beta's
+# denominator, about 1 s at 4,096 digits and beta = kl:1 (2-CPU x86, Python 3.11)
+SEQUENCE_DIGIT_CAP = 4096
 DECIMAL_DIGITS = 50  # 33 digits beyond a float's 17, for cancellation near a = 1
 TIE_TOL = 1e-12  # an approximate value this near a strict boundary is a tie
 
@@ -217,15 +221,24 @@ class EventuallyPeriodic:
 
     @classmethod
     def parse(cls, text: str, N: int):
-        """Parse the text form of str(); a DigitSeq's leading "0." is optional."""
+        """Parse the text form of str(); a DigitSeq's leading "0." is optional.
+
+        A text of more than SEQUENCE_DIGIT_CAP digits raises ResourceError
+        before any digit is converted.
+        """
         body = text.strip()
         if body.startswith(cls._text_prefix):
             body = body[len(cls._text_prefix):]
         head, paren, rest = body.partition("(")
         if not paren or not rest.endswith(")"):
             raise DomainError(f"malformed sequence {text!r}")
+        pre, per = head.split(), rest[:-1].split()
+        if len(pre) + len(per) > SEQUENCE_DIGIT_CAP:
+            raise ResourceError(
+                f"sequence of {len(pre) + len(per)} digits exceeds the cap of {SEQUENCE_DIGIT_CAP}"
+            )
         try:
-            pre, per = (tuple(map(int, part.split())) for part in (head, rest[:-1]))
+            pre, per = tuple(map(int, pre)), tuple(map(int, per))
         except ValueError:
             raise DomainError(f"non-integer digit in sequence {text!r}") from None
         return cls(N, pre, per)

@@ -439,10 +439,11 @@ class AsymptoticsReport:
     rows: tuple[tuple[float, ...], ...]
     limits: tuple[float, ...] = field(default=ASYMPTOTIC_LIMITS)
     deltas: tuple[float, ...] = ()
+    columns = ("N", *(f"N*{name}" for name in THRESHOLD_NAMES))  # a class constant, no field
 
     def to_json_obj(self) -> dict:
         return {
-            "columns": ["N"] + [f"N*{name}" for name in THRESHOLD_NAMES],
+            "columns": list(self.columns),
             "rows": [list(r) for r in self.rows],
             "limits": list(self.limits),
             "last_row_deltas": list(self.deltas),

@@ -256,6 +256,14 @@ class TestCountExpansions:
         with pytest.raises(ResourceError, match="depth = 6 levels exceed the cap of 5"):
             count_expansions(Fraction(1, 3), 1, 2, depth=6)
 
+    def test_work_cap_boundary(self, monkeypatch):
+        # depth * cap bounds the 2 depth cap steps of a call
+        monkeypatch.setattr(betaexp, "COUNT_WORK_CAP", 12)
+        assert str(count_expansions(1, 1, PHI, cap=3, depth=4)) == "AT_LEAST(3)"
+        monkeypatch.setattr(betaexp, "COUNT_WORK_CAP", 11)
+        with pytest.raises(ResourceError, match=r"depth \* cap = 4 \* 3 exceeds the cap of 11"):
+            count_expansions(1, 1, PHI, cap=3, depth=4)
+
     def test_huge_alphabet_counts_only_survivors(self):
         # the survivors of a branch are one run of digits, found by one division,
         # so the 10^7 digits below the run are never tried

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -213,6 +214,26 @@ class TestAsymptoticsVerb:
         assert lines[0].startswith("N,") and len(lines) == 3
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv, digest", [
+        (["thresholds", "--N", "1..12", "--csv"],
+         "9e5540a0f5bf15e7274e99a843a6125ac8fe7c415c783440f9f9d7a6b72a1d76"),
+        (["asymptotics", "--N", "1,2,5,10,100", "--csv"],
+         "b9b815de1de4b214bdc63889108c8e7df3bf53ff45a1883e938d360398a574e2"),
+        (["dim-d0", "--N", "2", "--a", "3/5", "--grid", "40", "--csv"],
+         "fe7ba51c866fa01008e23edda4bf540efb48333661dcfff2cd80be92766faced"),
+        (["classify", "--N", "1", "--a", "0.58", "--x", "1/4", "--probe-levels", "12", "--csv"],
+         "fb0a40fb5d84f8b19b54f207fd849280370755e17a6174ce2bf168104829a56a"),
+        (["graph", "--N", "2", "--a", "3/5", "--depth", "3", "--csv"],
+         "1471bca22063f339883bd90e9c38caac3588c79102e10afcfdac6750263fdd9d"),
+    ], ids=["thresholds", "asymptotics", "dim-d0", "classify", "graph"])
+    def test_output_is_pinned(self, argv, digest):
+        # every cell of each table, byte for byte: ints by str, floats at 17 digits, None empty
+        code, out, err = call(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_usage_error(self):
         code, _, err = call(["no-such-verb"])
@@ -261,6 +282,7 @@ class TestMalformedCalls:
         ["dim-dinf", "--N", "1", "--a", "kl:-1"],
         ["classify", "--N", "1", "--a", "3/5", "--x", "1/3", "--probe-levels", "-1"],
         ["dim-dinf", "--N", "1", "--a", "0.7", "--depth", "-5"],
+        ["dim-d0", "--N", "1", "--a", "3/5", "--csv"],
     ])
     def test_typed_error(self, argv):
         code, out, err = call(argv)
@@ -427,7 +449,9 @@ class TestResourceCaps:
         (["dim-d0", "--N", "1", "--a", "3/5", "--grid", str(10**9)], 10**5),
         (["beta", "--op", "count", "--N", "1", "--beta", "19/10", "--x", "5510/5859",
           "--depth", str(10**9)], 4096),
-    ], ids=["tm-count", "dim-d0-grid", "count-depth"])
+        (["beta", "--op", "count", "--N", "1", "--beta", "3/2", "--x", "1", "--cap", str(10**9)],
+         10**6),
+    ], ids=["tm-count", "dim-d0-grid", "count-depth", "count-cap"])
     def test_loop_past_its_cap_exits_4(self, argv, cap):
         # each cap is checked before any term, grid point or level is computed
         t0 = time.perf_counter()
@@ -435,6 +459,24 @@ class TestResourceCaps:
         assert time.perf_counter() - t0 < 1
         assert (code, out) == (4, "") and err.startswith("resource error")
         assert str(10**9) in err and str(cap) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,value,cap", [
+        (["beta", "--op", "univoque", "--N", "1", "--beta", "kl:1", "--w", "(" + "1 0 " * 50000 + ")"],
+         10**5, 4096),
+        (["beta", "--op", "pi", "--N", "1", "--beta", "kl:1", "--w", "(" + "1 0 " * 50000 + ")"],
+         10**5, 4096),
+        (["classify", "--N", "1", "--a", "13/25", "--x", "1/100003", "--probe-levels", "644"],
+         644, 10**6),
+    ], ids=["univoque-w", "pi-w", "probe-levels"])
+    def test_input_past_its_cap_exits_4(self, argv, value, cap):
+        # the sequence text is counted before its digits are converted, and the
+        # probe's digits once x is expanded (the base-3 period of 1/100003 has
+        # 100,002 digits), before any level
+        t0 = time.perf_counter()
+        code, out, err = call(argv)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (4, "") and err.startswith("resource error")
+        assert str(value) in err and str(cap) in err and "Traceback" not in err
 
     def test_quasi_greedy_digit_cap(self):
         argv = ["beta", "--op", "quasi-greedy", "--N", "1", "--beta", "19/10", "--max-len"]

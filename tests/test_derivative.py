@@ -23,6 +23,7 @@ from okamoto import (
     odd_liminf_frequency,
     thresholds,
 )
+from okamoto import derivative
 
 from conftest import probe_trend, random_digitseq
 
@@ -351,6 +352,15 @@ class TestProbe:
         p = make_params(1, A058)
         rows = finite_difference_probe(p, Fraction(5, 12), 16)
         assert probe_trend(rows) == "DIVERGING_MINUS"
+
+    def test_digit_cap_boundary(self, monkeypatch):
+        # 1/7 = 0.(0 1 0 2 1 2) in base 3: 5 levels expand about 5 * 6 + 15 = 45 digits
+        p = make_params(1, A058)
+        monkeypatch.setattr(derivative, "PROBE_DIGIT_CAP", 45)
+        assert len(finite_difference_probe(p, Fraction(1, 7), 5)) == 5
+        monkeypatch.setattr(derivative, "PROBE_DIGIT_CAP", 44)
+        with pytest.raises(ResourceError, match="5 probe levels expand about 45 digits, past the cap of 44"):
+            finite_difference_probe(p, Fraction(1, 7), 5)
 
     @pytest.mark.parametrize("N, a, last", [(1, Fraction(3, 5), 644), (5, Fraction(1, 4), 295)])
     def test_levels_stop_at_the_least_normal_h(self, N, a, last):

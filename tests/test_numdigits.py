@@ -277,6 +277,14 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             parse_omegaseq("0.1 (0 1)", 1)
 
+    def test_sequence_digit_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(numdigits, "SEQUENCE_DIGIT_CAP", 5)
+        assert parse_omegaseq("1 (1 0 0 1)", 1) == OmegaSeq(1, (1,), (1, 0, 0, 1))
+        assert parse_digitseq("0.1 (0 2 1 0)", 1) == DigitSeq(1, (1,), (0, 2, 1, 0))
+        for parse, text in ((parse_omegaseq, "1 (1 0 0 1 1)"), (parse_digitseq, "0.1 (0 2 1 0 1)")):
+            with pytest.raises(ResourceError, match="sequence of 6 digits exceeds the cap of 5"):
+                parse(text, 1)
+
     def test_text_form_round_trip(self):
         d = digits_of_rational(5, 12, 1)
         assert str(d) == "0.1 (0 2)"
